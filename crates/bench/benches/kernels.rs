@@ -25,7 +25,7 @@ fn bench_matmul(c: &mut Criterion) {
         bench.iter(|| a.matmul(&b));
     });
     // The same shape on the scalar blocked reference kernel: the gap is the
-    // register-tiled micro-kernel's contribution (`simd` feature).
+    // register-tiled micro-kernel's contribution.
     g.bench_function("conv2_forward_scalar_blocked", |bench| {
         bench.iter(|| a.matmul_scalar(&b));
     });
@@ -67,7 +67,7 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// Serial vs rayon-parallel blocked matmul on square operands at and above
-/// the 512×512 point (the acceptance shape for the `parallel` feature).
+/// the 512×512 point (the acceptance shape for the pool dispatch).
 fn bench_matmul_parallel(c: &mut Criterion) {
     let mut g = c.benchmark_group("matmul_parallel");
     g.sample_size(10);

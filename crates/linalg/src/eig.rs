@@ -17,14 +17,13 @@
 //! pass (`C = A·J`: two elements per row per rotation, rows independent)
 //! followed by a left pass (`A' = Jᵀ·C`: two whole rows per rotation, pairs
 //! disjoint) — every pass streams contiguous rows instead of walking
-//! columns, and (with the `parallel` feature) the row blocks of each pass
-//! fan out across rayon's persistent pool. Both orderings visit every pair
-//! exactly once per sweep and share the same convergence test.
+//! columns, and the row blocks of each large enough pass fan out across
+//! rayon's persistent pool. Both orderings visit every pair exactly once
+//! per sweep and share the same convergence test.
 
 use crate::error::{LinalgError, Result};
+use crate::ops::matmul_worker_threads;
 use crate::Matrix;
-
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// Maximum number of full Jacobi sweeps before reporting non-convergence.
@@ -38,7 +37,6 @@ const ROUND_SWEEP_MIN_N: usize = 64;
 
 /// Minimum rows-per-task granularity (in f64 elements touched) before a
 /// rotation pass is worth dispatching to the pool.
-#[cfg(feature = "parallel")]
 const PAR_PASS_MIN_ELEMS: usize = 1 << 14;
 
 /// Result of a symmetric eigendecomposition: `A = V · diag(λ) · Vᵀ`.
@@ -76,7 +74,8 @@ impl SymEig {
 ///
 /// # Errors
 ///
-/// Returns [`LinalgError::ShapeMismatch`] for non-square input and
+/// Returns [`LinalgError::ShapeMismatch`] for non-square input,
+/// [`LinalgError::NonFinite`] if any entry is NaN or infinite, and
 /// [`LinalgError::NoConvergence`] if the off-diagonal mass has not vanished
 /// after the sweep budget (does not happen for well-scaled covariance
 /// matrices).
@@ -127,11 +126,18 @@ fn sym_eig_impl(a: &Matrix, allow_parallel: bool) -> Result<SymEig> {
 /// destroyed in place). Returns `(eigenvalues desc, eigenvectors col-major as
 /// row-major n×n matrix)`. `allow_parallel = false` forces every rotation
 /// pass onto the calling thread (bitwise-identical by the pass contracts).
+///
+/// Non-finite entries are rejected up front: a NaN never converges (all
+/// sweeps burn before `NoConvergence`), and an infinity makes the
+/// tolerance infinite, so the first convergence check would pass on garbage.
 pub(crate) fn sym_eig_f64(
     a: &mut [f64],
     n: usize,
     allow_parallel: bool,
 ) -> Result<(Vec<f64>, Vec<f64>)> {
+    if !a.iter().all(|x| x.is_finite()) {
+        return Err(LinalgError::NonFinite { op: "sym_eig" });
+    }
     let mut v = vec![0.0_f64; n * n];
     for i in 0..n {
         v[i * n + i] = 1.0;
@@ -251,8 +257,6 @@ fn row_cyclic_sweep(a: &mut [f64], v: &mut [f64], n: usize, tol: f64) {
 /// (`M ← M · J`), row by row. Rows are independent, so row blocks fan out
 /// across the pool when the pass is large enough to pay for dispatch.
 fn apply_plane_rotations(mat: &mut [f64], n: usize, rots: &[PlaneRot], allow_parallel: bool) {
-    #[cfg(not(feature = "parallel"))]
-    let _ = allow_parallel;
     let rotate_rows = |rows: &mut [f64]| {
         for row in rows.chunks_mut(n) {
             for r in rots {
@@ -263,15 +267,12 @@ fn apply_plane_rotations(mat: &mut [f64], n: usize, rots: &[PlaneRot], allow_par
             }
         }
     };
-    #[cfg(feature = "parallel")]
-    {
-        let rows = mat.len() / n.max(1);
-        let threads = if allow_parallel { pass_threads(rows, rots.len()) } else { 1 };
-        if threads > 1 {
-            let rows_per_task = rows.div_ceil(threads);
-            mat.par_chunks_mut(rows_per_task * n).for_each(rotate_rows);
-            return;
-        }
+    let rows = mat.len() / n.max(1);
+    let threads = if allow_parallel { pass_threads(rows, rots.len()) } else { 1 };
+    if threads > 1 {
+        let rows_per_task = rows.div_ceil(threads);
+        mat.par_chunks_mut(rows_per_task * n).for_each(rotate_rows);
+        return;
     }
     rotate_rows(mat);
 }
@@ -295,14 +296,12 @@ fn left_apply_plane_rotations(mat: &mut [f64], n: usize, rots: &[PlaneRot]) {
 
 /// Per-row rotation lookup for the parallel left pass:
 /// row → (partner row, c, s, whether this row is the p side).
-#[cfg(feature = "parallel")]
 type RowRotEntry = Option<(usize, f64, f64, bool)>;
 
 /// Parallel variant of [`left_apply_plane_rotations`]: output rows are
 /// produced out-of-place into `scratch` (each from at most two input rows,
 /// so row blocks are independent), then copied back. `row_rot` is a
 /// caller-owned buffer reused across rounds, like `scratch`.
-#[cfg(feature = "parallel")]
 fn left_apply_plane_rotations_par(
     mat: &mut [f64],
     n: usize,
@@ -346,9 +345,8 @@ fn left_apply_plane_rotations_par(
 }
 
 /// Whether a rotation pass over `rows` rows is worth fanning out.
-#[cfg(feature = "parallel")]
 fn pass_threads(rows: usize, nrots: usize) -> usize {
-    let threads = rayon::current_num_threads().min(16);
+    let threads = matmul_worker_threads();
     if threads > 1 && rows * nrots * 2 >= PAR_PASS_MIN_ELEMS {
         threads
     } else {
@@ -364,8 +362,8 @@ fn pass_threads(rows: usize, nrots: usize) -> usize {
 /// row per rotation, rows independent) followed by a left pass
 /// (`A' = Jᵀ·C`; two whole rows per rotation, pairs disjoint) — both pure
 /// row-major streaming, no strided column walks. `V` accumulates `V ← V·J`
-/// with the same right pass. With the `parallel` feature and enough work,
-/// each pass fans out across rayon's persistent pool.
+/// with the same right pass. With enough work, each pass fans out across
+/// rayon's persistent pool.
 fn round_robin_sweep(
     a: &mut [f64],
     v: &mut [f64],
@@ -374,14 +372,11 @@ fn round_robin_sweep(
     scratch: &mut Vec<f64>,
     allow_parallel: bool,
 ) {
-    #[cfg(not(feature = "parallel"))]
-    let _ = allow_parallel;
     // Tournament (circle-method) schedule over n players, padded to even
     // with a bye; n-1 rounds cover every unordered pair exactly once.
     let np = n + (n & 1);
     let mut ring: Vec<usize> = (0..np).collect();
     let mut rots: Vec<PlaneRot> = Vec::with_capacity(np / 2);
-    #[cfg(feature = "parallel")]
     let mut row_rot: Vec<RowRotEntry> = Vec::new();
     for _round in 0..np - 1 {
         rots.clear();
@@ -403,26 +398,21 @@ fn round_robin_sweep(
             // C = A·J …
             apply_plane_rotations(a, n, &rots, allow_parallel);
             // … then A' = Jᵀ·C.
-            #[cfg(feature = "parallel")]
-            {
-                let threads = if allow_parallel { pass_threads(n, rots.len()) } else { 1 };
-                // Unlike the in-place serial pass (2·n elements per
-                // rotation), the out-of-place parallel pass streams the full
-                // n² matrix — untouched rows are copied — plus an n² copy
-                // back. Only fan out when the serial row-pair work split
-                // across threads still exceeds that fixed traffic, i.e.
-                // when most rows of the round carry a rotation; late sweeps
-                // with few surviving rotations stay serial.
-                let threads = if rots.len() * threads >= n { threads } else { 1 };
-                if threads > 1 {
-                    scratch.resize(n * n, 0.0);
-                    left_apply_plane_rotations_par(a, n, &rots, scratch, &mut row_rot, threads);
-                } else {
-                    left_apply_plane_rotations(a, n, &rots);
-                }
+            let threads = if allow_parallel { pass_threads(n, rots.len()) } else { 1 };
+            // Unlike the in-place serial pass (2·n elements per rotation),
+            // the out-of-place parallel pass streams the full n² matrix —
+            // untouched rows are copied — plus an n² copy back. Only fan
+            // out when the serial row-pair work split across threads still
+            // exceeds that fixed traffic, i.e. when most rows of the round
+            // carry a rotation; late sweeps with few surviving rotations
+            // stay serial.
+            let threads = if rots.len() * threads >= n { threads } else { 1 };
+            if threads > 1 {
+                scratch.resize(n * n, 0.0);
+                left_apply_plane_rotations_par(a, n, &rots, scratch, &mut row_rot, threads);
+            } else {
+                left_apply_plane_rotations(a, n, &rots);
             }
-            #[cfg(not(feature = "parallel"))]
-            left_apply_plane_rotations(a, n, &rots);
             // V = V·J.
             apply_plane_rotations(v, n, &rots, allow_parallel);
         }
@@ -433,8 +423,6 @@ fn round_robin_sweep(
         }
         ring[1] = last;
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = scratch;
 }
 
 fn finish(a: &[f64], v: Vec<f64>, n: usize) -> (Vec<f64>, Vec<f64>) {

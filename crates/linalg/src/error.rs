@@ -30,6 +30,12 @@ pub enum LinalgError {
         /// Largest valid rank for the operand.
         max: usize,
     },
+    /// An input held a NaN or an infinity, which the iterative solvers
+    /// cannot converge on.
+    NonFinite {
+        /// Name of the offending operation.
+        op: &'static str,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -46,6 +52,7 @@ impl fmt::Display for LinalgError {
             LinalgError::InvalidRank { requested, max } => {
                 write!(f, "invalid rank {requested}, maximum admissible rank is {max}")
             }
+            LinalgError::NonFinite { op } => write!(f, "non-finite input to {op}"),
         }
     }
 }
@@ -67,6 +74,8 @@ mod tests {
         assert!(e.to_string().contains("failed to converge"));
         let e = LinalgError::InvalidRank { requested: 9, max: 4 };
         assert!(e.to_string().contains("invalid rank 9"));
+        let e = LinalgError::NonFinite { op: "svd" };
+        assert_eq!(e.to_string(), "non-finite input to svd");
     }
 
     #[test]

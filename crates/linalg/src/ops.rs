@@ -9,20 +9,21 @@
 //!
 //! All kernels are cache-blocked (row-major friendly loop orders, `K_BLOCK`
 //! tiling of the reduction dimension so a panel of the right-hand operand is
-//! reused across a whole row panel of the output). With the `simd` feature
-//! (default) the inner loops additionally run a register-tiled micro-kernel:
-//! [`MR`]`×`[`NR`] (4×8) output tiles are accumulated in locals, with the
-//! 8-wide column axis written as explicitly unrolled array arithmetic that
-//! LLVM reliably turns into `f32x8` vector code (`std::simd` is unstable on
-//! the pinned stable toolchain, so the unroll is manual). With the
-//! `parallel` feature (default) the kernels also split the output into row
-//! panels dispatched through rayon's persistent pool once the flop count
-//! crosses [`PARALLEL_FLOP_THRESHOLD`].
+//! reused across a whole row panel of the output), and their inner loops run
+//! a register-tiled micro-kernel: [`MR`]`×`[`NR`] (4×8) output tiles are
+//! accumulated in locals, with the 8-wide column axis written as explicitly
+//! unrolled array arithmetic that LLVM reliably turns into `f32x8` vector
+//! code (`std::simd` is unstable on the pinned stable toolchain, so the
+//! unroll is manual). Once the flop count crosses
+//! [`PARALLEL_FLOP_THRESHOLD`] the kernels also split the output into row
+//! panels dispatched through rayon's persistent pool, whose size
+//! (`RAYON_NUM_THREADS`) is the only parallelism control.
 //!
-//! Every path — scalar, micro-kernel, serial, parallel — accumulates each
-//! output element in ascending reduction order with a single accumulator,
-//! so all of them agree **bitwise**, not just to rounding (property-tested
-//! in `tests/parallel_agreement.rs`): the parallel dispatcher hands each
+//! Every path — the scalar references, the micro-kernel, serial, parallel —
+//! accumulates each output element in ascending reduction order with a
+//! single accumulator, so all of them agree **bitwise**, not just to
+//! rounding (property-tested in the workspace root's
+//! `tests/parallel_agreement.rs`): the parallel dispatcher hands each
 //! worker a disjoint row panel and runs the identical kernel inside it, and
 //! the micro-kernel's register tiles are seeded from zero on the first
 //! `K_BLOCK` slab and from the flushed partials on later slabs, so the
@@ -35,8 +36,6 @@
 //! this is well within training noise.
 
 use crate::Matrix;
-
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// Products smaller than this many fused multiply-adds run single-threaded.
@@ -53,26 +52,18 @@ const K_BLOCK: usize = 64;
 
 /// Micro-kernel tile height: output rows accumulated together, each b-row
 /// load amortized across `MR` a-values.
-#[cfg(feature = "simd")]
 const MR: usize = 4;
 
 /// Micro-kernel tile width: output columns accumulated together; unrolled
 /// so the compiler emits one 8-lane f32 vector op per accumulator row.
-#[cfg(feature = "simd")]
 const NR: usize = 8;
 
 /// Number of worker threads the matmul kernels will actually use for a
-/// sufficiently large product (1 without the `parallel` feature; capped at
-/// 16 — beyond that, panels get too thin at layer-sized matrices).
+/// sufficiently large product: the pool size, capped at 16 — beyond that,
+/// panels get too thin at layer-sized matrices. The spectral solvers'
+/// fan-out gates share this cap.
 pub fn matmul_worker_threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        rayon::current_num_threads().min(16)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
+    rayon::current_num_threads().min(16)
 }
 
 /// Threshold dispatch shared by all three product kernels (and the int8
@@ -100,23 +91,15 @@ where
         body(0, out.as_mut_slice());
         return;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let panel_rows = rows.div_ceil(threads);
-        out.as_mut_slice()
-            .par_chunks_mut(panel_rows * cols)
-            .enumerate()
-            .for_each(|(idx, panel)| body(idx * panel_rows, panel));
-    }
-    // Without the feature every dispatcher passes threads == 1, so the
-    // single-panel path above is the only reachable one.
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("threads > 1 requires the `parallel` feature");
+    let panel_rows = rows.div_ceil(threads);
+    out.as_mut_slice()
+        .par_chunks_mut(panel_rows * cols)
+        .enumerate()
+        .for_each(|(idx, panel)| body(idx * panel_rows, panel));
 }
 
 /// Splits the panel rows starting at `local_i` into [`MR`] disjoint
 /// mutable output rows of width `m`.
-#[cfg(feature = "simd")]
 fn split_row_quad(panel: &mut [f32], local_i: usize, m: usize) -> [&mut [f32]; MR] {
     let (quad, _) = panel[local_i * m..].split_at_mut(MR * m);
     let (r0, rest) = quad.split_at_mut(m);
@@ -126,11 +109,9 @@ fn split_row_quad(panel: &mut [f32], local_i: usize, m: usize) -> [&mut [f32]; M
 }
 
 /// An [`MR`]`×`[`NR`] register tile of output accumulators.
-#[cfg(feature = "simd")]
 type Tile = [[f32; NR]; MR];
 
 /// Seeds a tile from the output rows at column `j`.
-#[cfg(feature = "simd")]
 #[inline(always)]
 fn tile_load(rows: &[&mut [f32]; MR], j: usize) -> Tile {
     let mut c = [[0.0_f32; NR]; MR];
@@ -144,7 +125,6 @@ fn tile_load(rows: &[&mut [f32]; MR], j: usize) -> Tile {
 /// of every register-tiled kernel. Kept in one place so the accumulation
 /// order (and with it the cross-kernel bitwise-agreement contract) cannot
 /// drift between kernels.
-#[cfg(feature = "simd")]
 #[inline(always)]
 fn tile_step(c: &mut Tile, x: [f32; MR], brow: &[f32; NR]) {
     for (ci, &xi) in c.iter_mut().zip(x.iter()) {
@@ -155,7 +135,6 @@ fn tile_step(c: &mut Tile, x: [f32; MR], brow: &[f32; NR]) {
 }
 
 /// Flushes a tile back into the output rows at column `j`.
-#[cfg(feature = "simd")]
 #[inline(always)]
 fn tile_store(rows: &mut [&mut [f32]; MR], j: usize, c: &Tile) {
     for (row, ci) in rows.iter_mut().zip(c.iter()) {
@@ -165,13 +144,11 @@ fn tile_store(rows: &mut [&mut [f32]; MR], j: usize, c: &Tile) {
 
 /// Column-remainder variants of the tile helpers: one output column,
 /// [`MR`] scalar accumulators.
-#[cfg(feature = "simd")]
 #[inline(always)]
 fn col_load(rows: &[&mut [f32]; MR], j: usize) -> [f32; MR] {
     [rows[0][j], rows[1][j], rows[2][j], rows[3][j]]
 }
 
-#[cfg(feature = "simd")]
 #[inline(always)]
 fn col_step(c: &mut [f32; MR], x: [f32; MR], bv: f32) {
     for (ci, &xi) in c.iter_mut().zip(x.iter()) {
@@ -179,7 +156,6 @@ fn col_step(c: &mut [f32; MR], x: [f32; MR], bv: f32) {
     }
 }
 
-#[cfg(feature = "simd")]
 #[inline(always)]
 fn col_store(rows: &mut [&mut [f32]; MR], j: usize, c: [f32; MR]) {
     for (row, ci) in rows.iter_mut().zip(c.iter()) {
@@ -230,8 +206,7 @@ fn matmul_panel_scalar(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]) {
 /// ascending-`p` order — bitwise identical to [`matmul_panel_scalar`] —
 /// while `B`-row loads are amortized over [`MR`] output rows and the
 /// [`NR`]-wide inner arithmetic vectorizes.
-#[cfg(feature = "simd")]
-fn matmul_panel_micro(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]) {
+fn matmul_panel(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]) {
     let m = b.cols();
     let k = a.cols();
     if m == 0 {
@@ -294,13 +269,6 @@ fn matmul_panel_micro(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]) {
     }
 }
 
-fn matmul_panel(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]) {
-    #[cfg(feature = "simd")]
-    matmul_panel_micro(a, b, row0, panel);
-    #[cfg(not(feature = "simd"))]
-    matmul_panel_scalar(a, b, row0, panel);
-}
-
 /// Kernel for `C = A · Bᵀ` over one row panel: independent dot products,
 /// both operands streamed row-major. Each element is one accumulator in
 /// ascending-`p` order.
@@ -325,8 +293,7 @@ fn matmul_nt_panel_scalar(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]
 /// is dotted against [`MR`] `A` rows at once (four independent dependency
 /// chains per element; the reduction itself stays scalar to preserve the
 /// ascending-`p` single-accumulator order).
-#[cfg(feature = "simd")]
-fn matmul_nt_panel_micro(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]) {
+fn matmul_nt_panel(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]) {
     let m = b.rows();
     if m == 0 {
         return;
@@ -362,13 +329,6 @@ fn matmul_nt_panel_micro(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32])
     }
 }
 
-fn matmul_nt_panel(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]) {
-    #[cfg(feature = "simd")]
-    matmul_nt_panel_micro(a, b, row0, panel);
-    #[cfg(not(feature = "simd"))]
-    matmul_nt_panel_scalar(a, b, row0, panel);
-}
-
 /// Kernel for `C = Aᵀ · B` over one row panel of `C` (= columns of `A`).
 ///
 /// Each worker scans all of `A` and `B` but only writes its own `C` rows;
@@ -394,11 +354,10 @@ fn matmul_tn_panel_scalar(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]
     }
 }
 
-/// Register-tiled `C = Aᵀ · B`: identical tiling to [`matmul_panel_micro`],
+/// Register-tiled `C = Aᵀ · B`: identical tiling to [`matmul_panel`],
 /// with the four a-values per step loaded contiguously from one `A` row
 /// (they are adjacent columns of `A`).
-#[cfg(feature = "simd")]
-fn matmul_tn_panel_micro(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]) {
+fn matmul_tn_panel(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]) {
     let m = b.cols();
     let k = a.rows();
     if m == 0 {
@@ -461,18 +420,11 @@ fn matmul_tn_panel_micro(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32])
     }
 }
 
-fn matmul_tn_panel(a: &Matrix, b: &Matrix, row0: usize, panel: &mut [f32]) {
-    #[cfg(feature = "simd")]
-    matmul_tn_panel_micro(a, b, row0, panel);
-    #[cfg(not(feature = "simd"))]
-    matmul_tn_panel_scalar(a, b, row0, panel);
-}
-
 impl Matrix {
     /// Matrix product `C = A · B`.
     ///
     /// Dispatches to the parallel row-panel path once the product exceeds
-    /// [`PARALLEL_FLOP_THRESHOLD`] flops (with the `parallel` feature).
+    /// [`PARALLEL_FLOP_THRESHOLD`] flops.
     ///
     /// # Panics
     ///
@@ -491,15 +443,14 @@ impl Matrix {
         self.matmul_with_threads(rhs, threads_for(work))
     }
 
-    /// [`Matrix::matmul`] forced onto the single-threaded blocked kernel
-    /// (micro-kernel included when the `simd` feature is on).
+    /// [`Matrix::matmul`] forced onto the single-threaded blocked
+    /// micro-kernel.
     pub fn matmul_serial(&self, rhs: &Matrix) -> Matrix {
         self.matmul_with_threads(rhs, 1)
     }
 
     /// [`Matrix::matmul`] forced onto the rayon row-panel path regardless of
     /// size. Bitwise-identical to [`Matrix::matmul_serial`].
-    #[cfg(feature = "parallel")]
     pub fn matmul_parallel(&self, rhs: &Matrix) -> Matrix {
         self.matmul_with_threads(rhs, matmul_worker_threads())
     }
@@ -767,7 +718,6 @@ mod tests {
         assert!(close(&a.matmul(&b), &naive_matmul(&a, &b), 1e-2));
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_and_serial_matmul_are_bitwise_identical() {
         let a = Matrix::from_fn(97, 211, |i, j| ((i * 31 + j * 7) % 23) as f32 * 0.043 - 0.47);

@@ -41,7 +41,8 @@ impl Pca {
     ///
     /// # Errors
     ///
-    /// Propagates [`LinalgError::NoConvergence`] from the eigensolver
+    /// Returns [`LinalgError::NonFinite`] if `w` holds a NaN or infinity,
+    /// and propagates [`LinalgError::NoConvergence`] from the eigensolver
     /// (does not occur for finite inputs at these sizes).
     ///
     /// # Examples
@@ -62,7 +63,7 @@ impl Pca {
     ///
     /// # Errors
     ///
-    /// Propagates [`LinalgError::NoConvergence`] from the eigensolver.
+    /// As [`Pca::fit`].
     pub fn fit_centered(w: &Matrix) -> Result<Pca> {
         Self::fit_impl(w, true)
     }

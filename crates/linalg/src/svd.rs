@@ -16,20 +16,20 @@
 //! rotated columns depend only on that pair's round-start values, and every
 //! per-pair dot product is a single accumulator running in ascending index
 //! order. The round order itself is fixed, so the serial path and the
-//! pool-parallel path (feature `parallel`, rounds fanned out over
-//! [`rayon::scope`] when big enough to pay for dispatch) are **bitwise
-//! identical** — the same contract the matmul kernels and the eigensolver
-//! keep, enforced by the `spectral_agreement` proptests. [`svd_serial`] is
-//! the always-sequential reference entry point.
+//! pool-parallel path (rounds fanned out over [`rayon::scope`] when big
+//! enough to pay for dispatch) are **bitwise identical** — the same
+//! contract the matmul kernels and the eigensolver keep, enforced by the
+//! `spectral_agreement` proptests. [`svd_serial`] is the always-sequential
+//! reference entry point.
 
 use crate::error::{LinalgError, Result};
+use crate::ops::matmul_worker_threads;
 use crate::Matrix;
 
 const MAX_SWEEPS: usize = 64;
 
 /// Minimum work per round (f64 elements read + written across all pairs)
 /// before the round is worth dispatching to the pool.
-#[cfg(feature = "parallel")]
 const PAR_ROUND_MIN_ELEMS: usize = 1 << 12;
 
 /// Thin SVD `A = U · diag(σ) · Vᵀ` with `U: n×r`, `V: m×r`, `r = min(n, m)`.
@@ -176,12 +176,11 @@ impl PairTask {
 /// owns its columns, so execution order — serial, or any interleaving across
 /// workers — cannot affect the result.
 fn run_round(tasks: &mut [PairTask], tol: f64, allow_parallel: bool) {
-    #[cfg(feature = "parallel")]
     if allow_parallel && tasks.len() > 1 {
         let n = tasks[0].col_p.len();
         let mv = tasks[0].v_p.len();
         let work = tasks.len() * 2 * (n + mv);
-        let threads = rayon::current_num_threads().min(16);
+        let threads = matmul_worker_threads();
         if threads > 1 && work >= PAR_ROUND_MIN_ELEMS {
             let chunk = tasks.len().div_ceil(threads.min(tasks.len()));
             rayon::scope(|s| {
@@ -196,8 +195,6 @@ fn run_round(tasks: &mut [PairTask], tol: f64, allow_parallel: bool) {
             return;
         }
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = allow_parallel;
     for task in tasks.iter_mut() {
         task.rotate(tol);
     }
@@ -205,14 +202,15 @@ fn run_round(tasks: &mut [PairTask], tol: f64, allow_parallel: bool) {
 
 /// Computes the thin SVD of `a` by one-sided Jacobi.
 ///
-/// With the `parallel` feature, large factorizations fan each tournament
-/// round's disjoint column pairs out across the persistent pool; the result
-/// is bitwise identical to [`svd_serial`].
+/// Large factorizations fan each tournament round's disjoint column pairs
+/// out across the persistent pool; the result is bitwise identical to
+/// [`svd_serial`].
 ///
 /// # Errors
 ///
-/// Returns [`LinalgError::NoConvergence`] if column orthogonalization does
-/// not converge within the sweep budget.
+/// Returns [`LinalgError::NonFinite`] if any entry is NaN or infinite, and
+/// [`LinalgError::NoConvergence`] if column orthogonalization does not
+/// converge within the sweep budget.
 ///
 /// # Examples
 ///
@@ -242,6 +240,11 @@ fn svd_impl(a: &Matrix, allow_parallel: bool) -> Result<Svd> {
     if a.rows() < a.cols() {
         let t = svd_impl(&a.transpose(), allow_parallel)?;
         return Ok(Svd { u: t.v, sigma: t.sigma, v: t.u });
+    }
+    // Checked once, after the transpose: a non-finite column never
+    // orthogonalizes and would reach the singular-value sort as NaN.
+    if !a.as_slice().iter().all(|x| x.is_finite()) {
+        return Err(LinalgError::NonFinite { op: "svd" });
     }
     let (n, m) = a.shape();
     if m == 0 || n == 0 {

@@ -1,7 +1,10 @@
 //! Property-based tests for the linear-algebra kernels.
 
 use proptest::prelude::*;
-use scissor_linalg::{max_beneficial_rank, svd, sym_eig, LowRank, Matrix, Pca};
+use scissor_linalg::{
+    max_beneficial_rank, svd, svd_serial, sym_eig, sym_eig_serial, LinalgError, LowRank, Matrix,
+    Pca,
+};
 
 /// Strategy: a matrix with bounded dimensions and entries in [-1, 1].
 fn matrix_strategy(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Matrix> {
@@ -154,5 +157,39 @@ proptest! {
             i = ih;
         }
         prop_assert_eq!(rebuilt, m);
+    }
+}
+
+/// One non-finite off-diagonal pair in an otherwise well-conditioned
+/// symmetric matrix must be rejected with a typed error by every spectral
+/// entry point — not panic, burn the whole sweep budget, or converge on an
+/// infinite tolerance. Orders 20 and 100 cover the row-cyclic and the
+/// round-robin eigensolver paths; the wide slice covers the SVD's
+/// transpose path.
+#[test]
+fn spectral_solvers_reject_non_finite_input() {
+    for n in [20usize, 100] {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut a = Matrix::from_fn(n, n, |i, j| {
+                let off = ((i * 7 + j * 7) % 13) as f32 * 0.1 - 0.6;
+                if i == j {
+                    off + n as f32
+                } else {
+                    off
+                }
+            });
+            a[(3, 7)] = bad;
+            a[(7, 3)] = bad;
+            let wide = a.submatrix(0..8, 0..n);
+            let non_finite =
+                |r: Result<(), LinalgError>| matches!(r, Err(LinalgError::NonFinite { .. }));
+            let ctx = format!("n = {n}, entry = {bad}");
+            assert!(non_finite(svd(&a).map(drop)), "svd, {ctx}");
+            assert!(non_finite(svd(&wide).map(drop)), "svd (wide), {ctx}");
+            assert!(non_finite(svd_serial(&a).map(drop)), "svd_serial, {ctx}");
+            assert!(non_finite(sym_eig(&a).map(drop)), "sym_eig, {ctx}");
+            assert!(non_finite(sym_eig_serial(&a).map(drop)), "sym_eig_serial, {ctx}");
+            assert!(non_finite(Pca::fit(&a).map(drop)), "Pca::fit, {ctx}");
+        }
     }
 }

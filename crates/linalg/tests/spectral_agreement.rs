@@ -7,9 +7,7 @@
 //!
 //! The pool is forced to 4 workers so the fan-out machinery really runs
 //! even on a single-core host; the companion `spectral_agreement_serial`
-//! suite pins the degenerate single-worker pool. (With `--no-default-
-//! features` both entry points share the serial path and the assertions
-//! hold trivially — CI runs that configuration too, as the reference leg.)
+//! suite pins the degenerate single-worker pool.
 
 use proptest::prelude::*;
 use scissor_linalg::{svd, svd_serial, sym_eig, sym_eig_serial, Matrix};

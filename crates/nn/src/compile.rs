@@ -1007,93 +1007,56 @@ impl CompiledNet {
     /// Runs every step over one contiguous NCHW sub-batch already in
     /// `src`, returning the index of the ping-pong buffer holding the
     /// logits.
+    ///
+    /// With profiling on, each step is wrapped in an `Instant` pair and
+    /// three relaxed atomic adds (no locks, no allocation), so enabling the
+    /// profiler perturbs what it measures as little as possible.
     fn run_steps(&self, src: &[f32], b: usize, scratch: &mut InferScratch) -> usize {
-        // The disabled-path profiling cost is exactly this one relaxed
-        // load: the timed variant is a separate loop, not per-step
-        // branches inside the hot one.
+        // The disabled-path profiling cost is this one relaxed load per
+        // sub-batch plus a predictable `None` branch per step.
         // ordering: Relaxed — advisory flag; the profiler handle is
         // published by the OnceLock's Acquire on `get`, so a stale read
-        // here only mis-routes between the two (identical-result) loops.
-        if self.profile_on.load(Ordering::Relaxed) {
-            if let Some(profiler) = self.profiler.get() {
-                return self.run_steps_profiled(src, b, scratch, profiler);
+        // here only records one sub-batch more or less.
+        let profiler: Option<&Profiler> = if self.profile_on.load(Ordering::Relaxed) {
+            self.profiler.get().map(Arc::as_ref)
+        } else {
+            None
+        };
+        if let Some(profiler) = profiler {
+            profiler.record_forward(b);
+        }
+        let (c, h, w) = self.input_shape;
+        let mut shape = self.input_shape;
+        let mut cur = 0usize;
+        scratch.act[cur].assign_from(b, c * h * w, src);
+        scratch.qa.resize_with(2 * self.steps.len(), QuantActivations::default);
+        for (idx, step) in self.steps.iter().enumerate() {
+            let (left, right) = scratch.act.split_at_mut(1);
+            let (src, dst) =
+                if cur == 0 { (&left[0], &mut right[0]) } else { (&right[0], &mut left[0]) };
+            let (qa, qt) = {
+                let pair = &mut scratch.qa[2 * idx..2 * idx + 2];
+                let (head, tail) = pair.split_at_mut(1);
+                (&mut head[0], &mut tail[0])
+            };
+            let timed = profiler.map(|p| (p, std::time::Instant::now()));
+            shape = run_step(
+                &step.kind,
+                step.quant.as_ref(),
+                src,
+                b,
+                shape,
+                dst,
+                &mut scratch.cols,
+                &mut scratch.rows,
+                &mut scratch.t,
+                qa,
+                qt,
+                &mut scratch.qsrc,
+            );
+            if let Some((profiler, start)) = timed {
+                profiler.record_step(idx, start.elapsed().as_nanos() as u64);
             }
-        }
-        let (c, h, w) = self.input_shape;
-        let mut shape = self.input_shape;
-        let mut cur = 0usize;
-        scratch.act[cur].assign_from(b, c * h * w, src);
-        scratch.qa.resize_with(2 * self.steps.len(), QuantActivations::default);
-        for (idx, step) in self.steps.iter().enumerate() {
-            let (left, right) = scratch.act.split_at_mut(1);
-            let (src, dst) =
-                if cur == 0 { (&left[0], &mut right[0]) } else { (&right[0], &mut left[0]) };
-            let (qa, qt) = {
-                let pair = &mut scratch.qa[2 * idx..2 * idx + 2];
-                let (head, tail) = pair.split_at_mut(1);
-                (&mut head[0], &mut tail[0])
-            };
-            shape = run_step(
-                &step.kind,
-                step.quant.as_ref(),
-                src,
-                b,
-                shape,
-                dst,
-                &mut scratch.cols,
-                &mut scratch.rows,
-                &mut scratch.t,
-                qa,
-                qt,
-                &mut scratch.qsrc,
-            );
-            cur = 1 - cur;
-        }
-        cur
-    }
-
-    /// [`CompiledNet::run_steps`] with per-step wall-time recording — the
-    /// same step sequence with an `Instant` pair and three relaxed atomic
-    /// adds around each step (no locks, no allocation), so enabling the
-    /// profiler perturbs what it measures as little as possible.
-    fn run_steps_profiled(
-        &self,
-        src: &[f32],
-        b: usize,
-        scratch: &mut InferScratch,
-        profiler: &Profiler,
-    ) -> usize {
-        profiler.record_forward(b);
-        let (c, h, w) = self.input_shape;
-        let mut shape = self.input_shape;
-        let mut cur = 0usize;
-        scratch.act[cur].assign_from(b, c * h * w, src);
-        scratch.qa.resize_with(2 * self.steps.len(), QuantActivations::default);
-        for (idx, step) in self.steps.iter().enumerate() {
-            let (left, right) = scratch.act.split_at_mut(1);
-            let (src, dst) =
-                if cur == 0 { (&left[0], &mut right[0]) } else { (&right[0], &mut left[0]) };
-            let (qa, qt) = {
-                let pair = &mut scratch.qa[2 * idx..2 * idx + 2];
-                let (head, tail) = pair.split_at_mut(1);
-                (&mut head[0], &mut tail[0])
-            };
-            let step_start = std::time::Instant::now();
-            shape = run_step(
-                &step.kind,
-                step.quant.as_ref(),
-                src,
-                b,
-                shape,
-                dst,
-                &mut scratch.cols,
-                &mut scratch.rows,
-                &mut scratch.t,
-                qa,
-                qt,
-                &mut scratch.qsrc,
-            );
-            profiler.record_step(idx, step_start.elapsed().as_nanos() as u64);
             cur = 1 - cur;
         }
         cur

@@ -1,8 +1,9 @@
 //! Zero-overhead-when-disabled regression for the per-step profiler: the
 //! warm `infer_into` path with profiling off must allocate nothing and
-//! pay nothing per step beyond one relaxed load per sub-batch, and even
-//! the *enabled* warm path must stay allocation-free (recording is
-//! relaxed atomics into slots preallocated at `enable_profiling` time).
+//! pay nothing beyond one relaxed load per sub-batch and one untaken
+//! branch per step of the shared forward loop, and even the *enabled*
+//! warm path must stay allocation-free (recording is relaxed atomics into
+//! slots preallocated at `enable_profiling` time).
 //!
 //! Same counting-allocator setup as `no_alloc_infer.rs`: the network is
 //! sized below `PARALLEL_FLOP_THRESHOLD` so the rayon pool's job dispatch

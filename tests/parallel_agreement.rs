@@ -1,12 +1,24 @@
 //! Property tests pinning the kernel-agreement contract of
 //! `scissor_linalg::ops`: the rayon row-panel path, the single-threaded
-//! blocked kernel, and the register-tiled (`simd` feature) micro-kernels
-//! all accumulate every output element with a single accumulator in
-//! ascending reduction order — so their results are **bitwise identical**,
-//! not merely close.
+//! blocked micro-kernels, and the scalar reference kernels all accumulate
+//! every output element with a single accumulator in ascending reduction
+//! order — so their results are **bitwise identical**, not merely close.
+//!
+//! The pool is forced to 4 workers so `matmul_parallel` really splits the
+//! output into several row panels even on a single-core host.
 
 use group_scissor_repro::linalg::Matrix;
 use proptest::prelude::*;
+use std::sync::Once;
+
+/// Runs before any pool use (every test calls it first), so the lazily
+/// initialized global picks up a deterministic multi-worker size.
+fn init() {
+    static FORCE_THREADS: Once = Once::new();
+    FORCE_THREADS.call_once(|| {
+        std::env::set_var("RAYON_NUM_THREADS", "4");
+    });
+}
 
 fn matrix_strategy(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_rows, 1..=max_cols).prop_flat_map(|(r, c)| {
@@ -32,6 +44,7 @@ proptest! {
         a in matrix_strategy(40, 64),
         seed in 0u64..1000,
     ) {
+        init();
         let k = a.cols();
         let b = Matrix::from_fn(k, 33, |i, j| {
             (((i * 31 + j * 17 + seed as usize) % 29) as f32 - 14.0) * 0.07
@@ -44,6 +57,7 @@ proptest! {
         a in matrix_strategy(21, 80),
         seed in 0u64..1000,
     ) {
+        init();
         // Row counts around MR=4 and widths around NR=8 exercise every
         // remainder path of the register-tiled kernel.
         let k = a.cols();
@@ -58,6 +72,7 @@ proptest! {
         a in matrix_strategy(21, 48),
         seed in 0u64..1000,
     ) {
+        init();
         let k = a.cols();
         let b = Matrix::from_fn(1 + (seed as usize % 19), k, |i, j| {
             (((i * 7 + j * 11 + seed as usize) % 27) as f32 - 13.0) * 0.061
@@ -70,6 +85,7 @@ proptest! {
         a in matrix_strategy(70, 21),
         seed in 0u64..1000,
     ) {
+        init();
         let k = a.rows();
         let b = Matrix::from_fn(k, 1 + (seed as usize % 21), |i, j| {
             (((i * 5 + j * 29 + seed as usize) % 33) as f32 - 16.0) * 0.047
@@ -79,6 +95,7 @@ proptest! {
 
     #[test]
     fn dispatching_matmul_agrees_with_serial_above_threshold(seed in 0u64..50) {
+        init();
         // 64³ = 4·2¹⁶ flops crosses PARALLEL_FLOP_THRESHOLD, so `matmul`
         // takes the parallel dispatch path; it must still match the forced
         // serial kernel bitwise.

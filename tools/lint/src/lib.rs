@@ -4,12 +4,11 @@
 //! The workspace's correctness rests on contracts clippy cannot
 //! express: condvars notified under their paired lock, atomic orderings
 //! justified at the site, `unsafe` confined to one audited file,
-//! registered hot paths allocation-free, serving-tier panics
-//! actionable, and feature passthroughs intact. Each rule in
-//! [`rules`] mechanizes one of those contracts over a lightweight
-//! lexer ([`lexer`]) — deliberately not a parser; see each rule's
-//! documentation for the heuristic it applies and the waiver escape
-//! hatch (`// lint: allow(rule-id): reason`).
+//! registered hot paths allocation-free, and serving-tier panics
+//! actionable. Each rule in [`rules`] mechanizes one of those contracts
+//! over a lightweight lexer ([`lexer`]) — deliberately not a parser; see
+//! each rule's documentation for the heuristic it applies and the waiver
+//! escape hatch (`// lint: allow(rule-id): reason`).
 //!
 //! Entry point: [`run`] walks the workspace rooted at a directory and
 //! returns sorted findings; the binary turns those into
@@ -84,13 +83,6 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
         if is_first_party_crate_root(&rel) {
             rules::forbid_unsafe_in_root(&rel, &toks, &mut findings);
         }
-    }
-
-    for manifest in collect_manifests(root)? {
-        let rel = rel_path(root, &manifest);
-        let text = fs::read_to_string(&manifest)
-            .map_err(|e| format!("failed to read {}: {e}", manifest.display()))?;
-        rules::feature_hygiene(&rel, &text, &mut findings);
     }
 
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -178,28 +170,6 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn collect_manifests(root: &Path) -> Result<Vec<PathBuf>, String> {
-    let mut manifests = vec![root.join("Cargo.toml")];
-    for sub in ["crates", "tools", "vendor"] {
-        let dir = root.join(sub);
-        if !dir.is_dir() {
-            continue;
-        }
-        let entries =
-            fs::read_dir(&dir).map_err(|e| format!("failed to read dir {}: {e}", dir.display()))?;
-        for entry in entries {
-            let entry =
-                entry.map_err(|e| format!("failed to read entry in {}: {e}", dir.display()))?;
-            let manifest = entry.path().join("Cargo.toml");
-            if manifest.is_file() {
-                manifests.push(manifest);
-            }
-        }
-    }
-    manifests.sort();
-    Ok(manifests)
 }
 
 /// Renders findings as a JSON array (hand-rolled: the lint is

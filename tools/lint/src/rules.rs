@@ -1,4 +1,4 @@
-//! The six repo-invariant rules. Each one mechanizes a contract the
+//! The five repo-invariant rules. Each one mechanizes a contract the
 //! workspace states in prose (ARCHITECTURE.md) and previously enforced
 //! only by review; see the rule table in ARCHITECTURE's "Static
 //! analysis" section for the contract each rule encodes.
@@ -20,8 +20,6 @@ pub mod id {
     pub const HOTPATH: &str = "no-alloc-hot-path";
     /// Rule 5: no bare `unwrap()` in serving-tier non-test code.
     pub const PANIC: &str = "panic-surface";
-    /// Rule 6: `parallel`/`simd` passthrough features forward.
-    pub const FEATURES: &str = "feature-hygiene";
 }
 
 /// The one file allowed to contain `unsafe` (the pool's raw-pointer job
@@ -410,101 +408,5 @@ pub fn panic_surface(rel: &str, toks: &[Tok], findings: &mut Vec<Finding>) {
             });
         }
         tracker.finish(t);
-    }
-}
-
-/// Rule 6 — **feature-hygiene**.
-///
-/// Every crate that depends on `scissor_linalg` must define `parallel`
-/// and `simd` features that forward to a dependency's feature of the
-/// same name, so `--no-default-features` matrix legs can reach the
-/// serial/scalar kernels from any crate in the graph and a new crate
-/// cannot silently break the CI feature matrix.
-pub fn feature_hygiene(rel: &str, manifest: &str, findings: &mut Vec<Finding>) {
-    let mut package_name = String::new();
-    let mut depends_on_linalg = false;
-    let mut deps_line = 1u32;
-    let mut features: Vec<(String, String)> = Vec::new(); // (name, value text)
-    let mut section = String::new();
-    let mut current_feature: Option<(String, String)> = None;
-    for (idx, raw) in manifest.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('[') {
-            if let Some((name, value)) = current_feature.take() {
-                features.push((name, value));
-            }
-            section = line.trim_matches(|c| c == '[' || c == ']').to_string();
-            if section == "dependencies" {
-                deps_line = idx as u32 + 1;
-            }
-            if section.starts_with("dependencies.scissor_linalg") {
-                depends_on_linalg = true;
-            }
-            continue;
-        }
-        match section.as_str() {
-            "package" => {
-                if let Some(v) = line.strip_prefix("name") {
-                    if let Some(v) = v.trim().strip_prefix('=') {
-                        package_name = v.trim().trim_matches('"').to_string();
-                    }
-                }
-            }
-            "dependencies" if line.starts_with("scissor_linalg") && line.contains('=') => {
-                depends_on_linalg = true;
-            }
-            "features" => {
-                if let Some((_, value)) = current_feature.as_mut() {
-                    // Continuation of a multi-line feature array.
-                    value.push_str(line);
-                    if line.contains(']') {
-                        let (name, value) = current_feature.take().expect("checked above");
-                        features.push((name, value));
-                    }
-                } else if let Some((name, rest)) = line.split_once('=') {
-                    let name = name.trim().trim_matches('"').to_string();
-                    let rest = rest.trim().to_string();
-                    if rest.contains('[') && !rest.contains(']') {
-                        current_feature = Some((name, rest));
-                    } else {
-                        features.push((name, rest));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    if let Some((name, value)) = current_feature.take() {
-        features.push((name, value));
-    }
-    if !depends_on_linalg || package_name == "scissor_linalg" {
-        return;
-    }
-    for feature in ["parallel", "simd"] {
-        let fwd = format!("/{feature}");
-        match features.iter().find(|(n, _)| n == feature) {
-            None => findings.push(Finding {
-                file: rel.to_string(),
-                line: deps_line,
-                rule: id::FEATURES,
-                message: format!(
-                    "crate depends on scissor_linalg but defines no `{feature}` passthrough \
-                     feature (the CI feature matrix needs every dependent to forward it)"
-                ),
-            }),
-            Some((_, value)) if !value.contains(&fwd) => findings.push(Finding {
-                file: rel.to_string(),
-                line: deps_line,
-                rule: id::FEATURES,
-                message: format!(
-                    "`{feature}` feature exists but does not forward to any dependency's \
-                     `{feature}` feature (expected an entry ending in `{fwd}`)"
-                ),
-            }),
-            Some(_) => {}
-        }
     }
 }

@@ -16,8 +16,6 @@ fn run_fixture(name: &str, files: &[(&str, &str)]) -> Vec<Finding> {
     fs::write(root.join("tools/lint/hotpaths.toml"), "functions = [\"infer_into\"]\n")
         .expect("fixture hotpaths");
     fs::write(root.join("tools/lint/ordering.allow"), "# empty\n").expect("fixture allowlist");
-    fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n")
-        .expect("fixture root manifest");
     for (rel, content) in files {
         let path = root.join(rel);
         fs::create_dir_all(path.parent().expect("fixture file has a parent")).expect("fixture dir");
@@ -32,8 +30,6 @@ fn run_fixture(name: &str, files: &[(&str, &str)]) -> Vec<Finding> {
 fn of_rule<'a>(findings: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
     findings.iter().filter(|f| f.rule == rule).collect()
 }
-
-const FORBID: &str = "#![forbid(unsafe_code)]\n";
 
 // ---------------------------------------------------------------- rule 1
 
@@ -297,70 +293,4 @@ mod tests {
         &[("crates/serve/src/lib.rs", serve), ("crates/x/src/lib.rs", other)],
     );
     assert!(of_rule(&findings, id::PANIC).is_empty(), "{findings:?}");
-}
-
-// ---------------------------------------------------------------- rule 6
-
-#[test]
-fn missing_passthrough_features_fire() {
-    let manifest = r#"[package]
-name = "scissor_x"
-
-[dependencies]
-scissor_linalg = { path = "../linalg", default-features = false }
-"#;
-    let findings = run_fixture(
-        "features-fire",
-        &[("crates/x/Cargo.toml", manifest), ("crates/x/src/lib.rs", FORBID)],
-    );
-    let hits = of_rule(&findings, id::FEATURES);
-    assert_eq!(hits.len(), 2, "one per missing feature: {findings:?}");
-
-    let half = r#"[package]
-name = "scissor_x"
-
-[dependencies]
-scissor_linalg = { path = "../linalg", default-features = false }
-
-[features]
-parallel = ["scissor_linalg/parallel"]
-simd = []
-"#;
-    let findings = run_fixture(
-        "features-nonforwarding",
-        &[("crates/x/Cargo.toml", half), ("crates/x/src/lib.rs", FORBID)],
-    );
-    let hits = of_rule(&findings, id::FEATURES);
-    assert_eq!(hits.len(), 1, "simd exists but does not forward: {findings:?}");
-}
-
-#[test]
-fn forwarding_features_and_nondependents_are_clean() {
-    let dependent = r#"[package]
-name = "scissor_x"
-
-[dependencies]
-scissor_linalg = { path = "../linalg", default-features = false }
-
-[features]
-default = ["parallel", "simd"]
-parallel = ["scissor_linalg/parallel"]
-simd = ["scissor_linalg/simd"]
-"#;
-    let leaf = r#"[package]
-name = "scissor_leaf"
-
-[dependencies]
-serde = { workspace = true }
-"#;
-    let findings = run_fixture(
-        "features-clean",
-        &[
-            ("crates/x/Cargo.toml", dependent),
-            ("crates/x/src/lib.rs", FORBID),
-            ("crates/leaf/Cargo.toml", leaf),
-            ("crates/leaf/src/lib.rs", FORBID),
-        ],
-    );
-    assert!(of_rule(&findings, id::FEATURES).is_empty(), "{findings:?}");
 }

@@ -1,9 +1,8 @@
 //! The lint's own acceptance gate: the live workspace at HEAD must be
 //! clean. Every contract the rules mechanize (notify-under-lock,
 //! ordering justifications, the unsafe budget, hot-path allocation
-//! bans, the serve/router panic surface, feature passthrough) is
-//! therefore re-checked by `cargo test` itself, not just by the CI job
-//! that runs the binary.
+//! bans, the serve/router panic surface) is therefore re-checked by
+//! `cargo test` itself, not just by the CI job that runs the binary.
 
 use std::path::PathBuf;
 
