@@ -82,7 +82,6 @@ fn bench_tracing_overhead(c: &mut Criterion) {
             max_wait: Duration::from_micros(200),
             ..ServeConfig::default()
         },
-        ..ModelConfig::default()
     };
     let untraced = Router::new();
     untraced.register_shared("m", Arc::clone(&plan), cfg).expect("register");

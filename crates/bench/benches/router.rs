@@ -1,5 +1,5 @@
 //! Router throughput: 1 vs N replicas under open-loop load, plus the
-//! front-door overhead of routing vs a direct single-replica server.
+//! front-door overhead of routing vs a bare replica.
 //!
 //! Open-loop means the submitter never waits for a response before the
 //! next submission — the admission queue absorbs the burst and the
@@ -20,7 +20,8 @@ use rand::SeedableRng;
 use group_scissor::ModelKind;
 use scissor_data::SynthOptions;
 use scissor_nn::{CompiledNet, Tensor4};
-use scissor_router::{ModelConfig, RoutePolicy, Router, ServeConfig};
+use scissor_router::{ModelConfig, Router, ServeConfig};
+use scissor_serve::{Replica, Telemetry};
 
 const OPEN_LOOP_REQUESTS: usize = 64;
 
@@ -69,7 +70,6 @@ fn bench_replica_scaling(c: &mut Criterion) {
                         max_wait: Duration::from_micros(500),
                         ..ServeConfig::default()
                     },
-                    ..ModelConfig::default()
                 },
             )
             .expect("register");
@@ -92,56 +92,10 @@ fn bench_replica_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_routing_policy(c: &mut Criterion) {
-    // Latency-aware vs least-loaded under the same open-loop burst. On
-    // homogeneous replicas the two should be within noise of each other —
-    // the latency-aware score degenerates to depth ordering when every
-    // EWMA agrees — so this smoke guards the *overhead* of the richer
-    // policy (snapshotting EWMAs per submission), not a speedup.
-    let plan = Arc::new(clipped_lenet_plan());
-    let samples = singles(OPEN_LOOP_REQUESTS);
-
-    let mut g = c.benchmark_group("router_policy");
-    g.sample_size(10);
-    for (name, policy) in
-        [("least_loaded", RoutePolicy::LeastLoaded), ("latency_aware", RoutePolicy::LatencyAware)]
-    {
-        let router = Router::new();
-        router
-            .register_shared(
-                "lenet",
-                Arc::clone(&plan),
-                ModelConfig {
-                    replicas: 4,
-                    queue_high_water: 4 * OPEN_LOOP_REQUESTS,
-                    replica: ServeConfig {
-                        max_batch: 32,
-                        max_wait: Duration::from_micros(500),
-                        ..ServeConfig::default()
-                    },
-                    policy,
-                },
-            )
-            .expect("register");
-        g.bench_function(&format!("burst_{OPEN_LOOP_REQUESTS}_{name}"), |bench| {
-            bench.iter(|| open_loop_burst(&router, &samples));
-        });
-        let stats = router.model_stats("lenet").expect("stats");
-        eprintln!(
-            "[router_policy] {name}: {} reqs, mean batch {:.1}, ewma by replica {:?}",
-            stats.serve.requests,
-            stats.serve.mean_batch_size(),
-            router.replica_ewma_service_ns("lenet").expect("registered"),
-        );
-        assert_eq!(stats.shed, 0, "bounds are sized so the bench never sheds");
-    }
-    g.finish();
-}
-
 fn bench_front_door_overhead(c: &mut Criterion) {
     // Single blocking request through the router vs through a bare
-    // server: the difference is the registry lookup + least-loaded scan +
-    // ticket rendezvous.
+    // replica: the difference is the registry lookup and the replica
+    // scan.
     let plan = Arc::new(clipped_lenet_plan());
     let sample = singles(1).remove(0);
     let cfg = ServeConfig { max_batch: 32, max_wait: Duration::ZERO, ..ServeConfig::default() };
@@ -149,9 +103,9 @@ fn bench_front_door_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("router_front_door");
     g.sample_size(15);
 
-    let server = scissor_serve::Server::start(clipped_lenet_plan(), cfg);
-    g.bench_function("direct_server_submit", |bench| {
-        bench.iter(|| criterion::black_box(server.submit(&sample).expect("serve")));
+    let replica = Replica::start(Arc::clone(&plan), cfg, Telemetry::default());
+    g.bench_function("direct_replica_submit_wait", |bench| {
+        bench.iter(|| criterion::black_box(replica.submit(&sample).expect("admit").wait()));
     });
 
     let router = Router::new();
@@ -159,12 +113,7 @@ fn bench_front_door_overhead(c: &mut Criterion) {
         .register_shared(
             "lenet",
             Arc::clone(&plan),
-            ModelConfig {
-                replicas: 2,
-                queue_high_water: 1024,
-                replica: cfg,
-                ..ModelConfig::default()
-            },
+            ModelConfig { replicas: 2, queue_high_water: 1024, replica: cfg },
         )
         .expect("register");
     g.bench_function("routed_submit_wait", |bench| {
@@ -173,5 +122,5 @@ fn bench_front_door_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_replica_scaling, bench_routing_policy, bench_front_door_overhead);
+criterion_group!(benches, bench_replica_scaling, bench_front_door_overhead);
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Serving throughput: per-sample eval loop vs compiled batch pass vs the
-//! micro-batching server, on the rank-clipped LeNet (paper Table 1 ranks).
+//! micro-batching replica, on the rank-clipped LeNet (paper Table 1 ranks).
 //!
 //! The acceptance shape: one batch-32 compiled pass must clearly beat 32
 //! single-sample forwards through the training container — batch rows are
@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use group_scissor::ModelKind;
 use scissor_data::SynthOptions;
 use scissor_nn::{InferScratch, Network, Phase, Tensor4, TileConfig};
-use scissor_serve::{ServeConfig, Server};
+use scissor_serve::{Replica, ServeConfig, Telemetry};
 
 const BATCH: usize = 32;
 
@@ -155,7 +155,7 @@ fn bench_quant_forms(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_server_end_to_end(c: &mut Criterion) {
+fn bench_replica_end_to_end(c: &mut Criterion) {
     let net = clipped_lenet();
     let images = batch_images();
     let singles: Arc<Vec<Tensor4>> = Arc::new((0..BATCH).map(|s| images.gather(&[s])).collect());
@@ -164,24 +164,25 @@ fn bench_server_end_to_end(c: &mut Criterion) {
     g.sample_size(10);
 
     // 4 caller threads push 32 requests through the micro-batcher.
-    let server = Arc::new(Server::start(
-        net.compile().expect("compile"),
+    let replica = Arc::new(Replica::start(
+        Arc::new(net.compile().expect("compile")),
         ServeConfig {
             max_batch: BATCH,
             max_wait: Duration::from_micros(500),
             workers: 1,
             ..ServeConfig::default()
         },
+        Telemetry::default(),
     ));
-    g.bench_function("server_32_requests_4_callers", |bench| {
+    g.bench_function("replica_32_requests_4_callers", |bench| {
         bench.iter(|| {
             let handles: Vec<_> = (0..4)
                 .map(|t| {
-                    let server = Arc::clone(&server);
+                    let replica = Arc::clone(&replica);
                     let singles = Arc::clone(&singles);
                     std::thread::spawn(move || {
                         for x in singles.iter().skip(t).step_by(4) {
-                            criterion::black_box(server.submit(x).expect("serve"));
+                            criterion::black_box(replica.submit(x).expect("serve").wait());
                         }
                     })
                 })
@@ -193,7 +194,7 @@ fn bench_server_end_to_end(c: &mut Criterion) {
     });
     g.finish();
 
-    let stats = server.stats();
+    let stats = replica.stats();
     eprintln!(
         "[serve] {} requests, {} batches (mean {:.1}, {} full), latency mean {:.2?} max {:.2?}, \
          inference throughput {:.0} samples/s",
@@ -202,7 +203,7 @@ fn bench_server_end_to_end(c: &mut Criterion) {
         stats.mean_batch_size(),
         stats.full_batches,
         stats.mean_latency(),
-        stats.max_latency,
+        stats.max_latency(),
         stats.infer_throughput()
     );
 }
@@ -212,6 +213,6 @@ criterion_group!(
     bench_serving,
     bench_tile_sweep,
     bench_quant_forms,
-    bench_server_end_to_end
+    bench_replica_end_to_end
 );
 criterion_main!(benches);

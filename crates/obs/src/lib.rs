@@ -2,13 +2,14 @@
 //!
 //! Unified telemetry for the Group Scissor serving stack: one crate that
 //! answers "where did this request's 7 ms go?" across the whole pipeline
-//! instead of scattering counters over `ServeStats`, `pool_stats()` and
-//! ad-hoc prints. Three cooperating subsystems:
+//! instead of scattering counters over per-crate structs and ad-hoc
+//! prints. Three cooperating subsystems:
 //!
 //! * **Metrics registry** ([`Registry`]): named [`Counter`]s, [`Gauge`]s,
 //!   log₂-bucket [`Histogram`]s and (the one documented exception to
 //!   lock-freedom) [`TextGauge`]s. Registration is a cold-path mutex;
 //!   every *update* afterwards is a relaxed atomic on an `Arc`'d cell.
+//!   Serving replicas record their latency and batch counters here.
 //!   [`Registry::snapshot`] produces an immutable [`Snapshot`] that
 //!   subtracts against an earlier one ([`Snapshot::delta_since`]),
 //!   serializes to JSON through the vendored serde, and renders as an

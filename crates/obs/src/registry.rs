@@ -10,9 +10,7 @@ use serde::{Serialize, Value};
 
 /// Number of histogram buckets: one per possible bit length of a `u64`
 /// value (bucket 0 counts exact zeros), so any nanosecond/byte/count
-/// observation lands without range configuration. Generalizes the
-/// 40-bucket latency histogram in `scissor_serve::stats` to the full
-/// `u64` range.
+/// observation lands without range configuration.
 pub const HIST_BUCKETS: usize = 64;
 
 /// Maps a value to its histogram bucket (its bit length, clamped).
@@ -253,7 +251,7 @@ impl Serialize for HistogramValue {
             .enumerate()
             .filter(|(_, &n)| n > 0)
             .map(|(i, &n)| {
-                let lower = if i <= 1 { 0 } else { 1u64 << (i - 1) };
+                let lower = if i == 0 { 0 } else { 1u64 << (i - 1) };
                 let upper = match Self::bucket_upper(i) {
                     Some(u) => Value::U64(u),
                     None => Value::Null,
@@ -642,6 +640,55 @@ mod tests {
         assert!(v.mean() > 0.0);
         // Empty histogram: all zeros.
         assert_eq!(HistogramValue::zero().quantile(0.99), 0);
+
+        // 90 requests at ~1 µs, 9 at ~1 ms, 1 at ~1 s: p50/p90 read the
+        // [512, 1024) bucket's upper bound, p95/p99 the ~1 ms bucket's,
+        // and q = 1.0 lands in a bounded bucket (upper 2^30) whose bound
+        // exceeds the observed max, so it clamps to the max.
+        let h = Histogram::new();
+        for (n, v) in [(90, 1_000), (9, 1_000_000), (1, 1_000_000_000)] {
+            for _ in 0..n {
+                h.record(v);
+            }
+        }
+        let v = h.value();
+        assert_eq!(v.quantile(0.50), 1_024);
+        assert_eq!(v.quantile(0.90), 1_024);
+        assert_eq!(v.quantile(0.95), 1 << 20);
+        assert_eq!(v.quantile(0.99), 1 << 20);
+        assert_eq!(v.quantile(1.0), 1_000_000_000);
+        assert!(v.quantile(0.99) <= v.quantile(0.999));
+
+        // 900 fast requests and exactly one slow one (rank
+        // ceil(0.999 · 901) = 901): p99 stays in the fast bucket, p99.9
+        // reaches the slow one, clamped from 2^20 to the observed 1 ms.
+        let h = Histogram::new();
+        for _ in 0..900 {
+            h.record(1_000);
+        }
+        h.record(1_000_000);
+        let v = h.value();
+        assert_eq!(v.quantile(0.99), 1_024);
+        assert_eq!(v.quantile(0.999), 1_000_000);
+    }
+
+    #[test]
+    fn serialized_buckets_have_disjoint_bounds() {
+        // Bucket 0 holds exact zeros and bucket 1 exactly the value 1:
+        // their encoded ranges must not overlap.
+        let h = Histogram::new();
+        for v in [0, 1, 3] {
+            h.record(v);
+        }
+        let json = serde_json::to_string(&h.value().to_value()).unwrap();
+        assert!(
+            json.contains(
+                "\"buckets\":[{\"lower\":0,\"upper\":1,\"count\":1},\
+                 {\"lower\":1,\"upper\":2,\"count\":1},\
+                 {\"lower\":2,\"upper\":4,\"count\":1}]"
+            ),
+            "{json}"
+        );
     }
 
     #[test]

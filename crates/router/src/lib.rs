@@ -21,10 +21,9 @@
 //!   [`Ticket::try_take`] (polling) — plain condvar slots, no async
 //!   runtime.
 //! * **Latency-aware routing.** Replicas are scored by expected completion
-//!   time — queue depth × the replica's service-time EWMA ([`RoutePolicy`];
-//!   least-loaded tie-break, paused replicas avoided while an active one
-//!   exists). The classic depth-only policy remains available as
-//!   [`RoutePolicy::LeastLoaded`].
+//!   time — (queue depth + 1) × the replica's service-time EWMA
+//!   ([`select_replica`]; least-loaded tie-break, paused replicas avoided
+//!   while an active one exists).
 //! * **Autoscaling control plane.** [`control::Supervisor`] periodically
 //!   reads every model's stats and emits [`control::ScalingDecision`]s —
 //!   runtime replica add/remove ([`Router::scale_up`] /
@@ -87,16 +86,17 @@ pub use error::RouterError;
 pub use scissor_nn::ServingForm;
 pub use scissor_obs::{Registry, Snapshot};
 pub use scissor_serve::{
-    Clock, MonotonicClock, ServeConfig, ServeStats, SpanKind, SpanRecord, Ticket, TraceId,
-    TraceLog, TraceSink, VirtualClock,
+    Clock, MonotonicClock, ServeConfig, ServeMetrics, ServeStats, SpanKind, SpanRecord, Ticket,
+    TraceId, TraceLog, TraceSink, VirtualClock,
 };
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use scissor_nn::{CompiledNet, Tensor4};
-use scissor_serve::{bucket_upper_ns, PendingRequest, Replica};
+use scissor_obs::Counter;
+use scissor_serve::{PendingRequest, Replica, Telemetry};
 use serde::{Serialize, Value};
 
 /// Convenience alias for router results.
@@ -118,27 +118,6 @@ fn env_flag(name: &str) -> bool {
         .unwrap_or(false)
 }
 
-/// Replica-selection policy for [`Router::submit`].
-///
-/// Both policies skip paused replicas while at least one active replica
-/// exists (a paused replica cannot make progress; steering fresh traffic
-/// at it would turn a maintenance hold into queue growth), falling back
-/// to all replicas only when every one is paused.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RoutePolicy {
-    /// Shallowest queue wins; ties rotate round-robin from a rotating
-    /// origin. The PR-4 policy, blind to heterogeneous replica speed.
-    LeastLoaded,
-    /// Expected-completion-time scoring: `(depth + 1) ×
-    /// max(ewma_service_ns, 1)` — a replica that has proven slow (cache
-    /// pressure, noisy neighbor, deliberately slow backend) gets less
-    /// traffic in proportion. Replicas with no estimate yet score as if
-    /// instant, so cold capacity is seeded immediately. Ties break
-    /// least-loaded, then round-robin. The default.
-    #[default]
-    LatencyAware,
-}
-
 /// Per-model serving shape: how many replicas, how much backlog to
 /// tolerate, and the batching knobs each replica runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,18 +133,11 @@ pub struct ModelConfig {
     /// `queue_cap` is clamped to `queue_high_water` at registration so no
     /// single replica can hold more than the model-wide bound.
     pub replica: ServeConfig,
-    /// How submissions pick a replica.
-    pub policy: RoutePolicy,
 }
 
 impl Default for ModelConfig {
     fn default() -> Self {
-        Self {
-            replicas: 1,
-            queue_high_water: 1024,
-            replica: ServeConfig::default(),
-            policy: RoutePolicy::default(),
-        }
+        Self { replicas: 1, queue_high_water: 1024, replica: ServeConfig::default() }
     }
 }
 
@@ -191,15 +163,16 @@ pub struct ReplicaSnapshot {
 /// decision as a pure function over per-replica snapshots, exposed so the
 /// property tests can drive it exhaustively.
 ///
-/// `start` rotates the tie-break origin (the caller increments it per
-/// submission); candidates are considered in rotation order from it.
-/// Paused replicas are skipped while any active one exists. Returns
-/// `None` only for an empty slice.
-pub fn select_replica(
-    policy: RoutePolicy,
-    start: usize,
-    replicas: &[ReplicaSnapshot],
-) -> Option<usize> {
+/// The score is the expected completion time `(depth + 1) ×
+/// max(ewma_service_ns, 1)`, so a replica that has proven slow gets less
+/// traffic in proportion, and one with no estimate yet scores as if
+/// instant (while no replica has an estimate, the pick is the shallowest
+/// queue). Ties break by depth, then by rotation order from
+/// `start`, which the caller increments per submission. Paused replicas
+/// are skipped while any active one exists: steering fresh traffic at one
+/// would turn a maintenance hold into queue growth. Returns `None` only
+/// for an empty slice.
+pub fn select_replica(start: usize, replicas: &[ReplicaSnapshot]) -> Option<usize> {
     let n = replicas.len();
     if n == 0 {
         return None;
@@ -213,14 +186,9 @@ pub fn select_replica(
         if any_active && r.paused {
             continue;
         }
-        let score = match policy {
-            RoutePolicy::LeastLoaded => r.depth as u128,
-            RoutePolicy::LatencyAware => {
-                (r.depth as u128 + 1).saturating_mul(u128::from(r.ewma_service_ns.max(1)))
-            }
-        };
+        let score = (r.depth as u128 + 1).saturating_mul(u128::from(r.ewma_service_ns.max(1)));
         // Strict `<` keeps the first candidate in rotation order on ties
-        // (after the depth tie-break for the latency-aware policy).
+        // (after the depth tie-break).
         let better = match best {
             None => true,
             Some((s, d, _)) => score < s || (score == s && r.depth < d),
@@ -233,11 +201,13 @@ pub fn select_replica(
 }
 
 /// A snapshot of one model's serving state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelStats {
-    /// Replica counters merged across the model's replicas
-    /// (`queue_depth` is the model-wide backlog gauge; `serve.shed`
-    /// counts rejections at the replicas' own queue caps).
+    /// The model's `serve.<model>.*` counters, which every replica it ever
+    /// had recorded into (so scale-down never makes them regress).
+    /// `queue_depth` is the model-wide backlog, `ewma_service_ns` the
+    /// slowest replica's estimate, and `serve.shed` counts rejections at
+    /// the replicas' own queue caps.
     pub serve: ServeStats,
     /// Submissions shed at the router's admission gate (does not include
     /// the replica-level `serve.shed`; see [`ModelStats::total_shed`]).
@@ -268,19 +238,17 @@ struct ModelEntry {
     /// Admission high-water mark; atomic so the control plane can resize
     /// it under the registry's *read* lock without stalling submissions.
     high_water: AtomicUsize,
-    shed: AtomicU64,
+    /// Submissions shed at the admission gate (`router.<model>.shed`).
+    shed: Counter,
     /// The batching knobs runtime-added replicas are spawned with
     /// (`queue_cap` already clamped to the registration-time high water).
     replica_cfg: ServeConfig,
-    policy: RoutePolicy,
+    /// The `serve.<model>.*` counters every replica records into.
+    metrics: ServeMetrics,
     /// Model-level pause state, inherited by runtime-added replicas so a
     /// scale-up during a maintenance hold (or a deterministic test) does
     /// not silently start draining.
     paused: AtomicBool,
-    /// Final counters of scaled-down replicas, accumulated so the
-    /// model-wide cumulative stats (and the supervisor's per-tick deltas
-    /// computed from them) never regress when capacity leaves the pool.
-    retired: Mutex<ServeStats>,
 }
 
 impl ModelEntry {
@@ -301,8 +269,8 @@ impl ModelEntry {
         // RMW across submitters still spreads starts, and no other data
         // rides on it.
         let start = self.rr.fetch_add(1, Ordering::Relaxed);
-        let best = select_replica(self.policy, start, &snaps)
-            .expect("a registered model has at least one replica");
+        let best =
+            select_replica(start, &snaps).expect("a registered model has at least one replica");
         (best, total)
     }
 
@@ -314,19 +282,38 @@ impl ModelEntry {
     }
 
     fn stats(&self) -> ModelStats {
-        let mut serve = *self.retired.lock().expect("retired stats poisoned");
-        for r in &self.replicas {
-            serve.merge(&r.stats());
-        }
+        let depth = self.replicas.iter().map(|r| r.queue_depth() as u64).sum();
+        let ewma = self.replicas.iter().map(Replica::ewma_service_ns).max().unwrap_or(0);
         ModelStats {
-            serve,
-            // ordering: Relaxed — stat counter snapshot; may lag
-            // in-flight sheds.
-            shed: self.shed.load(Ordering::Relaxed),
+            serve: self.metrics.read(depth, ewma),
+            shed: self.shed.get(),
             replicas: self.replicas.len(),
             queue_high_water: self.high_water(),
             form: self.plan.serving_form(),
         }
+    }
+
+    /// This model's section of [`Router::observability_snapshot`]: what
+    /// the registry does not hold.
+    fn observability(&self) -> Value {
+        let seq = |v: Vec<u64>| Value::Seq(v.into_iter().map(Value::U64).collect());
+        Value::Map(vec![
+            ("form".to_string(), Value::Str(self.plan.serving_form().to_string())),
+            ("replicas".to_string(), Value::U64(self.replicas.len() as u64)),
+            ("queue_high_water".to_string(), Value::U64(self.high_water() as u64)),
+            (
+                "queue_depths".to_string(),
+                seq(self.replicas.iter().map(|r| r.queue_depth() as u64).collect()),
+            ),
+            (
+                "ewma_service_ns".to_string(),
+                seq(self.replicas.iter().map(Replica::ewma_service_ns).collect()),
+            ),
+            (
+                "profile".to_string(),
+                self.plan.profiler().map_or(Value::Null, |p| p.snapshot().to_value()),
+            ),
+        ])
     }
 }
 
@@ -342,9 +329,9 @@ pub struct Router {
     /// [`VirtualClock`] here puts the entire serving tier on test time.
     clock: Arc<dyn Clock>,
     /// The router-wide metrics registry. Producers across the stack
-    /// (admission gate, supervisor, tile calibration) register named
-    /// counters/gauges here; [`Router::observability_snapshot`] folds a
-    /// reading of it into the one-document export.
+    /// (replicas, admission gate, supervisor, tile calibration) record
+    /// into named handles here; [`Router::observability_snapshot`] folds
+    /// a reading of it into the one-document export.
     registry: Arc<Registry>,
     /// The router-wide span sink. Every replica the router spawns carries
     /// a [`TraceSink`] into this log, so one request's spans line up
@@ -399,10 +386,10 @@ impl Router {
     }
 
     /// The router-wide metrics registry — the sink every producer in the
-    /// serving stack (admission gate, supervisor, tile calibration)
-    /// publishes named counters and gauges into. Shared so callers can
-    /// attach their own metrics or take [`Registry::snapshot`]s for
-    /// interval deltas.
+    /// serving stack (replicas under `serve.<model>.*`, the admission
+    /// gate under `router.<model>.shed`, supervisor, tile calibration)
+    /// records into. Shared so callers can attach their own metrics or
+    /// take [`Registry::snapshot`]s for interval deltas.
     pub fn registry(&self) -> Arc<Registry> {
         Arc::clone(&self.registry)
     }
@@ -429,13 +416,24 @@ impl Router {
     }
 
     /// Spawns one traced replica over `plan`, stamped with the next
-    /// router-unique replica id. The single spawn path for registration
-    /// and scale-up, so every replica is guaranteed a [`TraceSink`].
-    fn spawn_replica(&self, plan: Arc<CompiledNet>, cfg: ServeConfig) -> Replica {
+    /// router-unique replica id and recording into the model's
+    /// `metrics`. The single spawn path for registration and scale-up, so
+    /// every replica is guaranteed a [`TraceSink`].
+    fn spawn_replica(
+        &self,
+        plan: Arc<CompiledNet>,
+        cfg: ServeConfig,
+        metrics: &ServeMetrics,
+    ) -> Replica {
         // ordering: Relaxed — id uniqueness comes from the RMW itself;
         // the replica is published via the registry's RwLock, not here.
         let id = self.next_replica_id.fetch_add(1, Ordering::Relaxed);
-        Replica::start_traced(plan, cfg, self.clock(), TraceSink::new(self.trace_log(), id))
+        let telemetry = Telemetry {
+            clock: self.clock(),
+            trace: Some(TraceSink::new(self.trace_log(), id)),
+            metrics: metrics.clone(),
+        };
+        Replica::start(plan, cfg, telemetry)
     }
 
     /// Registers `plan` under `model` and spawns its replicas.
@@ -481,8 +479,10 @@ impl Router {
         if models.contains_key(model) {
             return Err(RouterError::DuplicateModel { model: model.to_string() });
         }
-        let replicas =
-            (0..cfg.replicas).map(|_| self.spawn_replica(Arc::clone(&plan), replica_cfg)).collect();
+        let metrics = ServeMetrics::register(&self.registry, &format!("serve.{model}"));
+        let replicas = (0..cfg.replicas)
+            .map(|_| self.spawn_replica(Arc::clone(&plan), replica_cfg, &metrics))
+            .collect();
         models.insert(
             model.to_string(),
             ModelEntry {
@@ -490,11 +490,10 @@ impl Router {
                 replicas,
                 rr: AtomicUsize::new(0),
                 high_water: AtomicUsize::new(cfg.queue_high_water),
-                shed: AtomicU64::new(0),
+                shed: self.registry.counter(&format!("router.{model}.shed")),
                 replica_cfg,
-                policy: cfg.policy,
+                metrics,
                 paused: AtomicBool::new(false),
-                retired: Mutex::new(ServeStats::zero()),
             },
         );
         Ok(())
@@ -539,8 +538,8 @@ impl Router {
         })
     }
 
-    /// Resolves `model`, applies the admission gate, picks the
-    /// least-loaded replica and hands it to `f`.
+    /// Resolves `model`, applies the admission gate, picks a replica via
+    /// [`select_replica`] and hands it to `f`.
     fn with_route<T>(&self, model: &str, f: impl FnOnce(&Replica) -> Result<T>) -> Result<T> {
         if self.shutting_down.load(Ordering::Acquire) {
             return Err(RouterError::ShuttingDown);
@@ -552,16 +551,14 @@ impl Router {
         let (best, depth) = entry.route();
         let high_water = entry.high_water();
         if depth >= high_water {
-            // ordering: Relaxed — stat counter; no reader pairs it with
-            // other memory.
-            entry.shed.fetch_add(1, Ordering::Relaxed);
+            entry.shed.inc();
             return Err(RouterError::Overloaded { model: model.to_string(), depth, high_water });
         }
         match f(&entry.replicas[best]) {
             // Racing submitters can slip past the gauge-based gate and hit
             // the chosen replica's own cap; that is still an overload shed
             // from the caller's point of view. The replica already counted
-            // it in its `ServeStats::shed` (so the gate counter is NOT
+            // it in `serve.<model>.shed` (so the gate counter is NOT
             // bumped — each rejection lands in exactly one counter), and
             // the error reports the model-wide backlog to match the
             // model-wide high-water mark.
@@ -584,8 +581,8 @@ impl Router {
     }
 
     /// Per-replica pending-request backlog for `model` — the load picture
-    /// the least-loaded selector routes on (and the signal an autoscaler
-    /// would watch).
+    /// replica selection routes on (and the signal an autoscaler would
+    /// watch).
     pub fn replica_queue_depths(&self, model: &str) -> Option<Vec<usize>> {
         let models = self.models.read().expect("router registry poisoned");
         models.get(model).map(|e| e.replicas.iter().map(Replica::queue_depth).collect())
@@ -663,7 +660,8 @@ impl Router {
         let entry = models
             .get_mut(model)
             .ok_or_else(|| RouterError::UnknownModel { model: model.to_string() })?;
-        let replica = self.spawn_replica(Arc::clone(&entry.plan), entry.replica_cfg);
+        let replica =
+            self.spawn_replica(Arc::clone(&entry.plan), entry.replica_cfg, &entry.metrics);
         // ordering: Relaxed — read under the registry write lock, which
         // already orders it against `for_model`'s store (the lock pair is
         // the happens-before edge; the atomic just avoids &mut plumbing).
@@ -713,9 +711,7 @@ impl Router {
             .max_by_key(|(i, r)| (r.ewma_service_ns(), *i))
             .map(|(i, _)| i)
             .expect("len checked above");
-        let torn = entry.replicas.remove(victim).dismantle();
-        entry.retired.lock().expect("retired stats poisoned").merge(&torn.stats);
-        for req in torn.pending {
+        for req in entry.replicas.remove(victim).dismantle() {
             reroute(&entry.replicas, req);
         }
         Ok(entry.replicas.len())
@@ -810,79 +806,29 @@ impl Router {
         models.get(model).map(|e| e.replicas.iter().map(Replica::ewma_service_ns).collect())
     }
 
-    /// One JSON document covering the whole serving stack:
+    /// One JSON document covering the whole serving stack, read without
+    /// registering or setting any metric:
     ///
-    /// * `models.<name>.serve` — merged replica counters with the full
-    ///   latency picture (mean/max, p50/p95/p99/p99.9 and the sparse log₂
-    ///   histogram with true bucket bounds; the open-ended top bucket
-    ///   reports `upper_ns: null`);
-    /// * `models.<name>.router` — admission-gate sheds, per-replica queue
-    ///   depths and service-time EWMAs (the routing signals);
-    /// * `models.<name>.profile` — per-step time/working-set aggregates
-    ///   when the plan's profiler is built (`GS_OBS_PROFILE=1` or
+    /// * `models.<name>` — what the registry does not hold: `form`,
+    ///   `replicas`, `queue_high_water`, the per-replica `queue_depths`
+    ///   and `ewma_service_ns`, and the per-step `profile` when the
+    ///   plan's profiler is built (`GS_OBS_PROFILE=1` or
     ///   [`scissor_nn::CompiledNet::enable_profiling`]), else `null`;
     /// * `pool` — the work-stealing scheduler's cumulative counters;
-    /// * `trace` — the span ring's health (enabled/minted/recorded/dropped);
-    /// * `metrics` — a reading of every metric in [`Router::registry`],
-    ///   which includes the supervisor's `ctrl.decisions.*` counters and
-    ///   the `tile.*` calibration gauges.
-    ///
-    /// Before the `metrics` reading is taken, the registry's `serve.*`,
-    /// `pool.*` and `trace.*` gauges are synced to the same values the
-    /// document reports, so interval deltas via [`Snapshot::delta_since`]
-    /// line up with the export.
+    /// * `trace` — the span ring's health;
+    /// * `metrics` — a reading of [`Router::registry`]: each model's
+    ///   `serve.<name>.*` set ([`ServeMetrics::register`]) and
+    ///   `router.<name>.shed`, the supervisor's `ctrl.decisions.*`
+    ///   counters and the `tile.*` calibration gauges.
     pub fn observability_snapshot(&self) -> Value {
-        // One pass under the read lock to collect raw per-model data;
-        // everything else (gauge sync, JSON assembly) runs lock-free.
-        let mut readings: Vec<ModelReading> = {
+        let mut models: Vec<(String, Value)> = {
             let models = self.models.read().expect("router registry poisoned");
-            models
-                .iter()
-                .map(|(name, e)| ModelReading {
-                    name: name.clone(),
-                    stats: e.stats(),
-                    depths: e.replicas.iter().map(Replica::queue_depth).collect(),
-                    ewma: e.replicas.iter().map(Replica::ewma_service_ns).collect(),
-                    profile: e.plan.profiler().map(|p| p.snapshot().to_value()),
-                })
-                .collect()
+            models.iter().map(|(name, e)| (name.clone(), e.observability())).collect()
         };
-        readings.sort_by(|a, b| a.name.cmp(&b.name));
-
+        models.sort_by(|a, b| a.0.cmp(&b.0));
         let pool = rayon::pool_stats();
-        for r in &readings {
-            let name = &r.name;
-            let stats = &r.stats;
-            let gauge =
-                |key: &str, v: u64| self.registry.gauge(&format!("serve.{name}.{key}")).set(v);
-            gauge("requests", stats.serve.requests);
-            gauge("shed_total", stats.total_shed());
-            gauge("queue_depth", stats.serve.queue_depth);
-            gauge("replicas", stats.replicas as u64);
-            gauge("p50_ns", stats.serve.p50_latency().as_nanos() as u64);
-            gauge("p99_ns", stats.serve.p99_latency().as_nanos() as u64);
-            gauge("p999_ns", stats.serve.p999_latency().as_nanos() as u64);
-            gauge("ewma_ns", stats.serve.ewma_service_ns);
-        }
-        let pool_gauge = |key: &str, v: u64| self.registry.gauge(&format!("pool.{key}")).set(v);
-        pool_gauge("local_pushes", pool.local_pushes);
-        pool_gauge("injected", pool.injected);
-        pool_gauge("local_pops", pool.local_pops);
-        pool_gauge("steals", pool.steals);
-        pool_gauge("injector_pops", pool.injector_pops);
-        let trace_gauge = |key: &str, v: u64| self.registry.gauge(&format!("trace.{key}")).set(v);
-        trace_gauge("minted", self.trace.minted());
-        trace_gauge("recorded", self.trace.recorded());
-        trace_gauge("dropped", self.trace.dropped());
-
-        let models_value = Value::Map(
-            readings
-                .into_iter()
-                .map(|r| (r.name, model_value(&r.stats, &r.depths, &r.ewma, r.profile)))
-                .collect(),
-        );
         Value::Map(vec![
-            ("models".to_string(), models_value),
+            ("models".to_string(), Value::Map(models)),
             (
                 "pool".to_string(),
                 Value::Map(vec![
@@ -928,88 +874,6 @@ impl Router {
             }
         }
     }
-}
-
-/// Raw per-model data collected under the registry read lock, rendered
-/// lock-free afterwards by [`model_value`].
-struct ModelReading {
-    name: String,
-    stats: ModelStats,
-    depths: Vec<usize>,
-    ewma: Vec<u64>,
-    profile: Option<Value>,
-}
-
-/// Builds one model's section of [`Router::observability_snapshot`].
-fn model_value(
-    stats: &ModelStats,
-    depths: &[usize],
-    ewma: &[u64],
-    profile: Option<Value>,
-) -> Value {
-    let s = &stats.serve;
-    // Sparse histogram: only populated buckets, each with its true
-    // `[lower, upper)` nanosecond bounds; the open-ended top bucket
-    // reports `upper_ns: null` instead of a fabricated bound.
-    let hist: Vec<Value> = s
-        .latency_hist
-        .iter()
-        .enumerate()
-        .filter(|&(_, &count)| count > 0)
-        .map(|(i, &count)| {
-            let lower = if i == 0 { 0 } else { 1u64 << (i - 1) };
-            Value::Map(vec![
-                ("lower_ns".to_string(), Value::U64(lower)),
-                ("upper_ns".to_string(), bucket_upper_ns(i).map_or(Value::Null, Value::U64)),
-                ("count".to_string(), Value::U64(count)),
-            ])
-        })
-        .collect();
-    Value::Map(vec![
-        ("form".to_string(), Value::Str(stats.form.to_string())),
-        ("replicas".to_string(), Value::U64(stats.replicas as u64)),
-        ("queue_high_water".to_string(), Value::U64(stats.queue_high_water as u64)),
-        (
-            "router".to_string(),
-            Value::Map(vec![
-                ("shed".to_string(), Value::U64(stats.shed)),
-                (
-                    "queue_depths".to_string(),
-                    Value::Seq(depths.iter().map(|&d| Value::U64(d as u64)).collect()),
-                ),
-                (
-                    "ewma_service_ns".to_string(),
-                    Value::Seq(ewma.iter().map(|&e| Value::U64(e)).collect()),
-                ),
-            ]),
-        ),
-        (
-            "serve".to_string(),
-            Value::Map(vec![
-                ("requests".to_string(), Value::U64(s.requests)),
-                ("batches".to_string(), Value::U64(s.batches)),
-                ("samples".to_string(), Value::U64(s.samples)),
-                ("full_batches".to_string(), Value::U64(s.full_batches)),
-                ("shed".to_string(), Value::U64(s.shed)),
-                ("queue_depth".to_string(), Value::U64(s.queue_depth)),
-                ("mean_batch_size".to_string(), Value::F64(s.mean_batch_size())),
-                (
-                    "latency".to_string(),
-                    Value::Map(vec![
-                        ("mean_ns".to_string(), Value::U64(s.mean_latency().as_nanos() as u64)),
-                        ("max_ns".to_string(), Value::U64(s.max_latency.as_nanos() as u64)),
-                        ("p50_ns".to_string(), Value::U64(s.p50_latency().as_nanos() as u64)),
-                        ("p95_ns".to_string(), Value::U64(s.p95_latency().as_nanos() as u64)),
-                        ("p99_ns".to_string(), Value::U64(s.p99_latency().as_nanos() as u64)),
-                        ("p999_ns".to_string(), Value::U64(s.p999_latency().as_nanos() as u64)),
-                    ]),
-                ),
-                ("latency_hist".to_string(), Value::Seq(hist)),
-                ("ewma_service_ns".to_string(), Value::U64(s.ewma_service_ns)),
-            ]),
-        ),
-        ("profile".to_string(), profile.unwrap_or(Value::Null)),
-    ])
 }
 
 /// Hands one already-admitted request to the least-loaded surviving
@@ -1239,19 +1103,35 @@ mod tests {
             "\"models\"",
             "\"form\":\"f32\"",
             "\"replicas\":2",
-            "\"queue_depths\"",
-            "\"p999_ns\"",
-            "\"latency_hist\"",
+            "\"queue_depths\":[0,0]",
+            "\"ewma_service_ns\"",
             "\"profile\":null",
             "\"pool\"",
             "\"local_pushes\"",
             "\"trace\"",
             "\"enabled\":false",
             "\"metrics\"",
-            "\"serve.m.requests\":4",
+            "\"serve.m.latency_ns\":{\"count\":4",
+            "\"p999\"",
+            "\"buckets\":[{\"lower\"",
+            "\"serve.m.batch_size\"",
+            "\"router.m.shed\":0",
         ] {
             assert!(json.contains(needle), "{needle} missing from {json}");
         }
+    }
+
+    #[test]
+    fn observability_snapshot_is_a_pure_read() {
+        let router = Router::new();
+        router.register("m", tiny_plan(8, 3), ModelConfig::with_replicas(2)).unwrap();
+        for s in 0..4 {
+            router.submit("m", &sample(s)).unwrap().wait();
+        }
+        let before = router.registry().snapshot();
+        router.observability_snapshot();
+        router.observability_snapshot();
+        assert_eq!(router.registry().snapshot(), before);
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Property tests for the routing and control-plane invariants:
 //! replica selection never steers work at a paused replica while an
-//! active one exists, selection scores are minimal under both policies,
-//! and the admission-bound resize actuator can never clamp below the
-//! in-flight depth.
+//! active one exists, the chosen replica's expected-completion score is
+//! minimal, and the admission-bound resize actuator can never clamp below
+//! the in-flight depth.
 
 use proptest::prelude::*;
 
 use std::time::Duration;
 
 use scissor_nn::{NetworkBuilder, Tensor4};
-use scissor_router::{
-    select_replica, ModelConfig, ReplicaSnapshot, RoutePolicy, Router, ServeConfig,
-};
+use scissor_router::{select_replica, ModelConfig, ReplicaSnapshot, Router, ServeConfig};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,18 +23,8 @@ fn snapshot_strategy() -> impl Strategy<Value = Vec<ReplicaSnapshot>> {
     )
 }
 
-fn policy_strategy() -> impl Strategy<Value = RoutePolicy> {
-    (0u64..2)
-        .prop_map(|p| if p == 0 { RoutePolicy::LeastLoaded } else { RoutePolicy::LatencyAware })
-}
-
-fn score(policy: RoutePolicy, r: &ReplicaSnapshot) -> u128 {
-    match policy {
-        RoutePolicy::LeastLoaded => r.depth as u128,
-        RoutePolicy::LatencyAware => {
-            (r.depth as u128 + 1).saturating_mul(u128::from(r.ewma_service_ns.max(1)))
-        }
-    }
+fn score(r: &ReplicaSnapshot) -> u128 {
+    (r.depth as u128 + 1).saturating_mul(u128::from(r.ewma_service_ns.max(1)))
 }
 
 proptest! {
@@ -44,14 +32,13 @@ proptest! {
 
     /// The load-bearing safety property: a paused (draining/maintenance)
     /// replica never receives fresh traffic while any active replica
-    /// exists — under either policy, from any rotation origin.
+    /// exists — from any rotation origin.
     #[test]
     fn selection_never_picks_a_paused_replica_while_an_active_exists(
         snaps in snapshot_strategy(),
-        policy in policy_strategy(),
         start in 0usize..64,
     ) {
-        let chosen = select_replica(policy, start, &snaps).expect("non-empty");
+        let chosen = select_replica(start, &snaps).expect("non-empty");
         prop_assert!(chosen < snaps.len());
         if snaps.iter().any(|r| !r.paused) {
             prop_assert!(
@@ -63,22 +50,21 @@ proptest! {
 
     /// The chosen replica's score is minimal among the eligible set, and
     /// among minimal-score candidates its depth is minimal — the
-    /// policy's stated contract, checked against a brute-force oracle.
+    /// selector's stated contract, checked against a brute-force oracle.
     #[test]
     fn selection_score_is_minimal_over_eligible_replicas(
         snaps in snapshot_strategy(),
-        policy in policy_strategy(),
         start in 0usize..64,
     ) {
-        let chosen = select_replica(policy, start, &snaps).expect("non-empty");
+        let chosen = select_replica(start, &snaps).expect("non-empty");
         let any_active = snaps.iter().any(|r| !r.paused);
         let eligible = |r: &ReplicaSnapshot| !any_active || !r.paused;
-        let best = snaps.iter().filter(|r| eligible(r)).map(|r| score(policy, r)).min()
+        let best = snaps.iter().filter(|r| eligible(r)).map(score).min()
             .expect("at least one eligible");
-        prop_assert_eq!(score(policy, &snaps[chosen]), best);
+        prop_assert_eq!(score(&snaps[chosen]), best);
         let min_depth_at_best = snaps
             .iter()
-            .filter(|r| eligible(r) && score(policy, r) == best)
+            .filter(|r| eligible(r) && score(r) == best)
             .map(|r| r.depth)
             .min()
             .expect("non-empty");
@@ -88,19 +74,15 @@ proptest! {
     /// Rotation fairness: with identical replicas the rotating origin is
     /// honored exactly, so ties spread instead of piling onto replica 0.
     #[test]
-    fn ties_follow_the_rotation_origin(
-        n in 1usize..8,
-        start in 0usize..64,
-        policy in policy_strategy(),
-    ) {
+    fn ties_follow_the_rotation_origin(n in 1usize..8, start in 0usize..64) {
         let snaps = vec![ReplicaSnapshot { depth: 3, ewma_service_ns: 500, paused: false }; n];
-        prop_assert_eq!(select_replica(policy, start, &snaps), Some(start % n));
+        prop_assert_eq!(select_replica(start, &snaps), Some(start % n));
     }
 
     /// Selection is total on non-empty input and `None` on empty input.
     #[test]
-    fn selection_is_total(policy in policy_strategy(), start in 0usize..64) {
-        prop_assert_eq!(select_replica(policy, start, &[]), None);
+    fn selection_is_total(start in 0usize..64) {
+        prop_assert_eq!(select_replica(start, &[]), None);
     }
 }
 
@@ -146,7 +128,6 @@ proptest! {
                 max_wait: Duration::ZERO,
                 ..ServeConfig::default()
             },
-            ..ModelConfig::default()
         };
         router.register("m", tiny_plan(), cfg).unwrap();
         router.pause("m").unwrap();
@@ -173,7 +154,6 @@ fn live_router_spreads_evenly_when_every_replica_is_paused() {
         replicas: 2,
         queue_high_water: 1024,
         replica: ServeConfig { max_batch: 4, max_wait: Duration::ZERO, ..ServeConfig::default() },
-        ..ModelConfig::default()
     };
     router.register("m", tiny_plan(), cfg).unwrap();
     router.pause("m").unwrap();

@@ -69,7 +69,6 @@ fn paused_model(router: &Router, model: &str, replicas: usize, high_water: usize
             queue_cap: high_water,
             ..ServeConfig::default()
         },
-        ..ModelConfig::default()
     };
     router.register(model, tiny_plan(11), cfg).unwrap();
     router.pause(model).unwrap();
@@ -228,7 +227,6 @@ fn shed_delta_drives_scale_up_without_queue_pressure() {
             queue_cap: 2,
             ..ServeConfig::default()
         },
-        ..ModelConfig::default()
     };
     router.register("m", tiny_plan(11), cfg).unwrap();
     router.pause("m").unwrap();

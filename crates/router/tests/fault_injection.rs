@@ -50,7 +50,6 @@ fn busy_config(replicas: usize) -> ModelConfig {
             max_wait: Duration::from_micros(100),
             ..ServeConfig::default()
         },
-        ..ModelConfig::default()
     }
 }
 
@@ -112,7 +111,6 @@ fn scale_down_during_pause_reroutes_every_parked_ticket() {
             queue_cap: 10,
             ..ServeConfig::default()
         },
-        ..ModelConfig::default()
     };
     router.register_shared("m", Arc::clone(&reference), cfg).unwrap();
     router.pause("m").unwrap();

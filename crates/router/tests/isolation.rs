@@ -56,7 +56,6 @@ fn storm_on_one_model_does_not_shed_or_starve_the_other() {
                     queue_cap: 4,
                     ..ServeConfig::default()
                 },
-                ..ModelConfig::default()
             },
         )
         .unwrap();
@@ -73,7 +72,6 @@ fn storm_on_one_model_does_not_shed_or_starve_the_other() {
                     max_wait: Duration::from_micros(100),
                     ..ServeConfig::default()
                 },
-                ..ModelConfig::default()
             },
         )
         .unwrap();
@@ -140,7 +138,6 @@ fn supervisor_actions_stay_on_the_stormed_model() {
                         queue_cap: hw,
                         ..ServeConfig::default()
                     },
-                    ..ModelConfig::default()
                 },
             )
             .unwrap();

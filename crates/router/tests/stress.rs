@@ -73,7 +73,6 @@ fn two_models_two_replicas_concurrent_bit_equality() {
             max_wait: Duration::from_micros(200),
             ..ServeConfig::default()
         },
-        ..ModelConfig::default()
     };
     router.register_shared("lenet", Arc::clone(&ref_a), cfg).unwrap();
     router.register_shared("convnet", Arc::clone(&ref_b), cfg).unwrap();
@@ -144,7 +143,6 @@ fn open_loop_overload_sheds_and_recovers() {
         replicas: 2,
         queue_high_water: high_water,
         replica: ServeConfig { max_batch: 4, max_wait: Duration::ZERO, ..ServeConfig::default() },
-        ..ModelConfig::default()
     };
     router.register_shared("m", Arc::clone(&reference), cfg).unwrap();
     router.pause("m").unwrap();
@@ -209,7 +207,6 @@ fn shutdown_drains_every_admitted_ticket_across_models() {
             max_wait: Duration::from_millis(50),
             ..ServeConfig::default()
         },
-        ..ModelConfig::default()
     };
     router.register_shared("a", Arc::clone(&ref_a), cfg).unwrap();
     router.register_shared("b", Arc::clone(&ref_b), cfg).unwrap();

@@ -9,16 +9,12 @@
 //! at traffic scale is a batching problem — single-sample forwards leave
 //! the matmul micro-kernels starved (a batch-1 fully-connected layer is one
 //! output row, below the 4-row register tile), while callers arrive one
-//! sample at a time. The crate bridges the two at two API levels:
-//!
-//! * [`Replica`] is the reusable batching unit: one bounded request queue
-//!   plus batcher threads over a *shared* `Arc<CompiledNet>`. Submission is
-//!   **non-blocking** — [`Replica::submit`] enqueues and immediately
-//!   returns a [`Ticket`]; the caller later [`Ticket::wait`]s (blocking) or
-//!   polls [`Ticket::try_take`]. Many replicas can serve one plan (that is
-//!   what `scissor_router` builds its sharded tier from).
-//! * [`Server`] is the original single-replica convenience front-end with
-//!   a blocking [`Server::submit`].
+//! sample at a time. [`Replica`] bridges the two: one bounded request
+//! queue plus batcher threads over a *shared* `Arc<CompiledNet>`.
+//! Submission is **non-blocking** — [`Replica::submit`] enqueues and
+//! immediately returns a [`Ticket`]; the caller later [`Ticket::wait`]s
+//! (blocking) or polls [`Ticket::try_take`]. Many replicas can serve one
+//! plan (that is what `scissor_router` builds its sharded tier from).
 //!
 //! Batcher threads coalesce submissions into one tensor — up to
 //! [`ServeConfig::max_batch`] samples, waiting at most
@@ -45,17 +41,20 @@
 //! single-sample — or any other batch composition — forward would have
 //! produced. The concurrency stress tests pin this down.
 //!
-//! A [`ServeStats`] counter surface reports throughput and latency:
-//! requests served, realized batch sizes, full-batch vs timeout flushes,
-//! queue depth, shed count, and per-request latency aggregates plus a
-//! fixed-bucket histogram (p50/p95/p99).
+//! Replicas record into [`ServeMetrics`] — `scissor_obs` histograms and
+//! counters the owner shares among the replicas of one model — and
+//! [`Replica::stats`] reads them as [`ServeStats`]: requests served,
+//! realized batch sizes, full-batch vs timeout flushes, shed count, the
+//! log₂-bucket latency histogram (p50/p99/p99.9), plus the replica's own
+//! queue depth and service-time EWMA.
 //!
 //! ## Example
 //!
 //! ```
+//! use std::sync::Arc;
 //! use rand::SeedableRng;
 //! use scissor_nn::{NetworkBuilder, Tensor4};
-//! use scissor_serve::{Server, ServeConfig};
+//! use scissor_serve::{Replica, ServeConfig, Telemetry};
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let net = NetworkBuilder::new((1, 6, 6))
@@ -63,30 +62,13 @@
 //!     .relu()
 //!     .linear("fc", 4, &mut rng)
 //!     .build();
-//! let server = Server::start(net.compile().unwrap(), ServeConfig::default());
-//!
-//! let sample = Tensor4::zeros(1, 1, 6, 6);
-//! let logits = server.submit(&sample).unwrap();
-//! assert_eq!(logits.len(), 4);
-//! assert_eq!(server.stats().requests, 1);
-//! ```
-//!
-//! Async submission against a bare replica:
-//!
-//! ```
-//! use std::sync::Arc;
-//! use rand::SeedableRng;
-//! use scissor_nn::{NetworkBuilder, Tensor4};
-//! use scissor_serve::{Replica, ServeConfig};
-//!
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-//! let net = NetworkBuilder::new((1, 6, 6)).linear("fc", 4, &mut rng).build();
 //! let plan = Arc::new(net.compile().unwrap());
-//! let replica = Replica::start(Arc::clone(&plan), ServeConfig::default());
+//! let replica = Replica::start(plan, ServeConfig::default(), Telemetry::default());
 //!
 //! let ticket = replica.submit(&Tensor4::zeros(1, 1, 6, 6)).unwrap(); // non-blocking
 //! let logits = ticket.wait();                                        // blocks
 //! assert_eq!(logits.len(), 4);
+//! assert_eq!(replica.stats().requests, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -99,7 +81,7 @@ mod stats;
 pub use clock::{Clock, MonotonicClock, VirtualClock};
 pub use error::ServeError;
 pub use scissor_obs::{SpanKind, SpanRecord, TraceId, TraceLog};
-pub use stats::{bucket_upper_ns, Ewma, ServeStats, DEFAULT_EWMA_ALPHA_PCT, LATENCY_BUCKETS};
+pub use stats::{Ewma, ServeMetrics, ServeStats, DEFAULT_EWMA_ALPHA_PCT};
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -113,7 +95,7 @@ use stats::StatsInner;
 /// Convenience alias for serve results.
 pub type Result<T> = std::result::Result<T, ServeError>;
 
-/// Batching knobs for a [`Replica`] (and the [`Server`] wrapper).
+/// Batching knobs for a [`Replica`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Largest batch a single forward pass will carry.
@@ -128,9 +110,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded-queue high-water mark: a submission that finds this many
     /// requests already pending is shed with [`ServeError::Overloaded`].
-    /// Defaults to `usize::MAX` (never shed) so direct [`Server`] users
-    /// keep the historical never-fail submit; `scissor_router` sets real
-    /// bounds.
+    /// Defaults to `usize::MAX` (never shed) for a standalone replica;
+    /// `scissor_router` sets real bounds.
     pub queue_cap: usize,
     /// Smoothing factor (percent, clamped to `[1, 100]`) for the
     /// per-replica service-time EWMA latency-aware routing scores on —
@@ -152,8 +133,8 @@ impl Default for ServeConfig {
 
 /// This replica's connection to a shared [`TraceLog`]: the log plus the
 /// replica id spans are stamped with. Built by the owner (the router
-/// assigns router-wide unique ids) and passed to
-/// [`Replica::start_traced`]; a replica without one records no spans.
+/// assigns router-wide unique ids) and passed in [`Telemetry::trace`]; a
+/// replica without one records no spans.
 #[derive(Debug, Clone)]
 pub struct TraceSink {
     log: Arc<TraceLog>,
@@ -209,18 +190,27 @@ impl std::fmt::Debug for PendingRequest {
     }
 }
 
-/// What [`Replica::dismantle`] leaves behind: the backlog to reroute and
-/// the dead replica's final counters (EWMA zeroed — it is a routing
-/// signal, not a counter) for the owner to fold into its accumulated
-/// totals so teardown never makes cumulative stats regress.
-#[derive(Debug)]
-pub struct Dismantled {
-    /// Requests that were still pending, in admission order, for
-    /// [`Replica::inject`]ion into sibling replicas.
-    pub pending: Vec<PendingRequest>,
-    /// The replica's counter snapshot after its batchers joined (any
-    /// in-flight batch's deliveries included; `queue_depth` is 0).
-    pub stats: ServeStats,
+/// What a replica's owner shares with it. The [`Default`] describes a
+/// standalone replica: a fresh [`MonotonicClock`], private
+/// [`ServeMetrics`] and no tracing.
+#[derive(Debug, Clone)]
+pub struct Telemetry {
+    /// Time source for enqueue timestamps, latency and service time: one
+    /// shared clock per owner makes replicas comparable, and a
+    /// [`VirtualClock`] makes all accounting move only when a test says.
+    pub clock: Arc<dyn Clock>,
+    /// Span sink: while its log is enabled, each admitted request gets a
+    /// [`TraceId`] and queued/batched/executed [`SpanRecord`]s; while
+    /// disabled the cost is one relaxed load per submission.
+    pub trace: Option<TraceSink>,
+    /// The counters to record into; replicas of one model share a set.
+    pub metrics: ServeMetrics,
+}
+
+impl Default for Telemetry {
+    fn default() -> Self {
+        Self { clock: MonotonicClock::shared(), trace: None, metrics: ServeMetrics::new() }
+    }
 }
 
 /// Lifecycle of one rendezvous slot: pending → ready → taken.
@@ -345,58 +335,15 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Starts batcher threads over a shared compiled plan, timestamping
-    /// with a fresh [`MonotonicClock`].
+    /// Starts batcher threads over a shared compiled plan, with the
+    /// clock, span sink and counters the owner hands in (use
+    /// `Telemetry::default()` for a standalone replica).
     ///
     /// # Panics
     ///
     /// Panics if `cfg.max_batch`, `cfg.workers` or `cfg.queue_cap` is zero.
-    pub fn start(net: Arc<CompiledNet>, cfg: ServeConfig) -> Self {
-        Self::start_with_clock(net, cfg, MonotonicClock::shared())
-    }
-
-    /// [`Replica::start`] with an explicit time source.
-    ///
-    /// Production callers pass a shared [`MonotonicClock`] (one per
-    /// router, so timestamps are comparable across replicas);
-    /// deterministic tests pass a [`VirtualClock`] — all latency and
-    /// service-time accounting then moves only when the test advances it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.max_batch`, `cfg.workers` or `cfg.queue_cap` is zero.
-    pub fn start_with_clock(
-        net: Arc<CompiledNet>,
-        cfg: ServeConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        Self::start_inner(net, cfg, clock, None)
-    }
-
-    /// [`Replica::start_with_clock`] plus a [`TraceSink`]: every request
-    /// admitted while the sink's log is enabled gets a [`TraceId`] and
-    /// queued/batched/executed [`SpanRecord`]s stamped with the sink's
-    /// replica id. With the log disabled the only cost is one relaxed
-    /// load per submission.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.max_batch`, `cfg.workers` or `cfg.queue_cap` is zero.
-    pub fn start_traced(
-        net: Arc<CompiledNet>,
-        cfg: ServeConfig,
-        clock: Arc<dyn Clock>,
-        sink: TraceSink,
-    ) -> Self {
-        Self::start_inner(net, cfg, clock, Some(sink))
-    }
-
-    fn start_inner(
-        net: Arc<CompiledNet>,
-        cfg: ServeConfig,
-        clock: Arc<dyn Clock>,
-        trace: Option<TraceSink>,
-    ) -> Self {
+    pub fn start(net: Arc<CompiledNet>, cfg: ServeConfig, telemetry: Telemetry) -> Self {
+        let Telemetry { clock, trace, metrics } = telemetry;
         assert!(cfg.max_batch > 0, "max_batch must be positive");
         assert!(cfg.workers > 0, "workers must be positive");
         assert!(cfg.queue_cap > 0, "queue_cap must be positive");
@@ -410,7 +357,7 @@ impl Replica {
                 paused: false,
             }),
             available: Condvar::new(),
-            stats: StatsInner::with_alpha(cfg.ewma_alpha_pct),
+            stats: StatsInner::new(metrics, cfg.ewma_alpha_pct),
             clock,
             trace,
             form_label,
@@ -427,13 +374,8 @@ impl Replica {
         Self { shared, handles }
     }
 
-    /// The compiled plan being served.
-    pub fn net(&self) -> &CompiledNet {
-        &self.shared.net
-    }
-
-    /// A shared handle to the compiled plan (for spawning sibling
-    /// replicas).
+    /// A shared handle to the compiled plan being served (for spawning
+    /// sibling replicas).
     pub fn plan(&self) -> Arc<CompiledNet> {
         Arc::clone(&self.shared.net)
     }
@@ -622,7 +564,9 @@ impl Replica {
         self.shared.stats.reset_ewma()
     }
 
-    /// Snapshot of the throughput/latency counters.
+    /// A reading of the counters this replica records into — shared with
+    /// every replica that got the same [`Telemetry::metrics`] — with this
+    /// replica's own queue depth and service-time EWMA.
     pub fn stats(&self) -> ServeStats {
         self.shared.stats.snapshot()
     }
@@ -649,10 +593,9 @@ impl Replica {
     /// Tears the replica down **without** serving its backlog: stops
     /// admission, extracts every still-pending request (their tickets
     /// stay live) and joins the batcher threads, returning the extracted
-    /// requests for [`Replica::inject`]ion into sibling replicas plus the
-    /// replica's final counter snapshot (taken *after* the join, so an
-    /// in-flight batch's deliveries are included — a scale-down must not
-    /// make a model's cumulative counters go backwards).
+    /// requests, in admission order, for [`Replica::inject`]ion into
+    /// sibling replicas. An in-flight batch records into the shared
+    /// counters before the join returns.
     ///
     /// A batch already in flight when this is called completes and
     /// delivers its tickets normally; the extraction happens under the
@@ -661,14 +604,11 @@ impl Replica {
     /// never neither. This is the scale-down primitive: where `shutdown`
     /// serves the backlog itself before exiting, `dismantle` hands it off
     /// so capacity leaves the pool immediately, even mid-pause.
-    pub fn dismantle(mut self) -> Dismantled {
+    pub fn dismantle(mut self) -> Vec<PendingRequest> {
         let pending: Vec<PendingRequest> = {
             let mut queue = self.shared.queue.lock().expect("serve queue poisoned");
             queue.shutdown = true;
-            let drained: Vec<PendingRequest> =
-                queue.pending.drain(..).map(|inner| PendingRequest { inner }).collect();
-            self.shared.stats.set_queue_depth(0);
-            drained
+            queue.pending.drain(..).map(|inner| PendingRequest { inner }).collect()
         };
         // lint: allow(notify-under-lock): deliberate notify-after-unlock
         // hoist. The condvar lives in the Arc'd `Shared` (kept alive by
@@ -679,90 +619,13 @@ impl Replica {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-        let mut stats = self.shared.stats.snapshot();
-        // The EWMA is a routing signal for a live replica, not a counter;
-        // a dead replica must not keep steering anything.
-        stats.ewma_service_ns = 0;
-        Dismantled { pending, stats }
+        pending
     }
 }
 
 impl Drop for Replica {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// The single-replica micro-batching inference server.
-///
-/// A convenience wrapper over one [`Replica`] with a *blocking*
-/// [`Server::submit`]; multi-replica, multi-model serving lives in
-/// `scissor_router`. Submission is thread-safe through `&self`; drop (or
-/// [`Server::shutdown`]) drains the queue and joins the batcher threads.
-pub struct Server {
-    replica: Replica,
-}
-
-impl Server {
-    /// Starts batcher threads over a compiled plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.max_batch`, `cfg.workers` or `cfg.queue_cap` is zero.
-    pub fn start(net: CompiledNet, cfg: ServeConfig) -> Self {
-        Self { replica: Replica::start(Arc::new(net), cfg) }
-    }
-
-    /// The compiled plan being served.
-    pub fn net(&self) -> &CompiledNet {
-        self.replica.net()
-    }
-
-    /// The underlying batching replica (async submission, pause/resume,
-    /// queue depth).
-    pub fn replica(&self) -> &Replica {
-        &self.replica
-    }
-
-    /// The numeric serving form of the plan being served.
-    pub fn serving_form(&self) -> ServingForm {
-        self.replica.serving_form()
-    }
-
-    /// Submits one sample (a batch-1 tensor) and blocks until its logits
-    /// return.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::ShapeMismatch`] if the sample's `(c, h, w)` differs
-    /// from the plan's input shape or the tensor is not batch-1;
-    /// [`ServeError::Overloaded`] if a finite
-    /// [`ServeConfig::queue_cap`] is exceeded;
-    /// [`ServeError::ShuttingDown`] after [`Server::shutdown`] began.
-    pub fn submit(&self, sample: &Tensor4) -> Result<Vec<f32>> {
-        Ok(self.replica.submit(sample)?.wait())
-    }
-
-    /// Submits one sample as a raw `c·h·w` feature slice and blocks until
-    /// its logits return.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::FeatureLengthMismatch`] if the slice length is not the
-    /// plan's `c·h·w`; otherwise as [`Server::submit`].
-    pub fn submit_features(&self, features: &[f32]) -> Result<Vec<f32>> {
-        Ok(self.replica.submit_features(features)?.wait())
-    }
-
-    /// Snapshot of the throughput/latency counters.
-    pub fn stats(&self) -> ServeStats {
-        self.replica.stats()
-    }
-
-    /// Stops accepting submissions, drains the queue and joins the batcher
-    /// threads. Idempotent; also invoked by `Drop`.
-    pub fn shutdown(&mut self) {
-        self.replica.shutdown();
     }
 }
 
@@ -929,41 +792,46 @@ mod tests {
         )
     }
 
+    /// A standalone replica over `plan`.
+    fn start(plan: Arc<CompiledNet>, cfg: ServeConfig) -> Replica {
+        Replica::start(plan, cfg, Telemetry::default())
+    }
+
     #[test]
     fn submit_returns_compiled_logits() {
         let plan = tiny_plan();
         let expect = plan.infer(&sample(0));
-        let server = Server::start(tiny_plan(), ServeConfig::default());
-        let got = server.submit(&sample(0)).unwrap();
+        let replica = start(Arc::new(tiny_plan()), ServeConfig::default());
+        let got = replica.submit(&sample(0)).unwrap().wait();
         assert_eq!(got.as_slice(), expect.as_slice());
     }
 
     #[test]
     fn shape_mismatch_is_rejected() {
-        let server = Server::start(tiny_plan(), ServeConfig::default());
+        let replica = start(Arc::new(tiny_plan()), ServeConfig::default());
         let bad = Tensor4::zeros(1, 1, 5, 5);
-        assert!(matches!(server.submit(&bad), Err(ServeError::ShapeMismatch { .. })));
+        assert!(matches!(replica.submit(&bad), Err(ServeError::ShapeMismatch { .. })));
         let two = Tensor4::zeros(2, 1, 4, 4);
-        assert!(matches!(server.submit(&two), Err(ServeError::ShapeMismatch { .. })));
+        assert!(matches!(replica.submit(&two), Err(ServeError::ShapeMismatch { .. })));
         assert!(matches!(
-            server.submit_features(&[0.0; 3]),
+            replica.submit_features(&[0.0; 3]),
             Err(ServeError::FeatureLengthMismatch { expected: 16, got: 3 })
         ));
     }
 
     #[test]
     fn shutdown_rejects_new_submissions() {
-        let mut server = Server::start(tiny_plan(), ServeConfig::default());
-        server.shutdown();
-        assert!(matches!(server.submit(&sample(0)), Err(ServeError::ShuttingDown)));
+        let mut replica = start(Arc::new(tiny_plan()), ServeConfig::default());
+        replica.shutdown();
+        assert!(matches!(replica.submit(&sample(0)), Err(ServeError::ShuttingDown)));
         // Idempotent.
-        server.shutdown();
+        replica.shutdown();
     }
 
     #[test]
     fn stats_count_requests_and_batches() {
-        let server = Server::start(
-            tiny_plan(),
+        let replica = start(
+            Arc::new(tiny_plan()),
             ServeConfig {
                 max_batch: 4,
                 max_wait: Duration::from_millis(1),
@@ -971,17 +839,17 @@ mod tests {
             },
         );
         for s in 0..5 {
-            server.submit(&sample(s)).unwrap();
+            replica.submit(&sample(s)).unwrap().wait();
         }
-        let stats = server.stats();
+        let stats = replica.stats();
         assert_eq!(stats.requests, 5);
         assert_eq!(stats.samples, 5);
         assert!(stats.batches >= 1 && stats.batches <= 5);
         assert!(stats.mean_batch_size() >= 1.0);
-        assert!(stats.max_latency >= stats.mean_latency());
+        assert!(stats.max_latency() >= stats.mean_latency());
         assert_eq!(stats.shed, 0);
         assert_eq!(stats.queue_depth, 0, "all requests delivered → queue empty");
-        assert_eq!(stats.latency_hist.iter().sum::<u64>(), 5);
+        assert_eq!(stats.latency.buckets.iter().sum::<u64>(), 5);
         assert!(stats.p50_latency() <= stats.p99_latency());
     }
 
@@ -989,7 +857,7 @@ mod tests {
     fn ticket_try_take_and_wait() {
         let plan = tiny_plan();
         let expect = plan.infer(&sample(4));
-        let replica = Replica::start(Arc::new(tiny_plan()), ServeConfig::default());
+        let replica = start(Arc::new(tiny_plan()), ServeConfig::default());
         let ticket = replica.submit(&sample(4)).unwrap();
         // Poll until ready, then take without blocking.
         let got = loop {
@@ -1009,7 +877,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already redeemed")]
     fn wait_after_try_take_panics_instead_of_hanging() {
-        let replica = Replica::start(Arc::new(tiny_plan()), ServeConfig::default());
+        let replica = start(Arc::new(tiny_plan()), ServeConfig::default());
         let ticket = replica.submit(&sample(1)).unwrap();
         loop {
             if ticket.try_take().is_some() {
@@ -1024,10 +892,8 @@ mod tests {
 
     #[test]
     fn paused_replica_admits_until_cap_then_sheds() {
-        let replica = Replica::start(
-            Arc::new(tiny_plan()),
-            ServeConfig { queue_cap: 3, ..ServeConfig::default() },
-        );
+        let replica =
+            start(Arc::new(tiny_plan()), ServeConfig { queue_cap: 3, ..ServeConfig::default() });
         replica.pause();
         let tickets: Vec<Ticket> =
             (0..3).map(|s| replica.submit(&sample(s)).expect("admitted")).collect();
@@ -1050,7 +916,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_admitted_tickets_even_when_paused() {
-        let mut replica = Replica::start(Arc::new(tiny_plan()), ServeConfig::default());
+        let mut replica = start(Arc::new(tiny_plan()), ServeConfig::default());
         replica.pause();
         let tickets: Vec<Ticket> =
             (0..4).map(|s| replica.submit(&sample(s)).expect("admitted")).collect();
@@ -1074,7 +940,7 @@ mod tests {
         let reference = tiny_plan();
         let mut tiled = tiny_plan();
         tiled.set_tile_config(TileConfig::fixed(2));
-        let replica = Replica::start(
+        let replica = start(
             Arc::new(tiled),
             ServeConfig {
                 max_batch: 8,
@@ -1095,19 +961,20 @@ mod tests {
     #[test]
     fn dismantle_hands_pending_to_a_sibling_same_tickets() {
         let plan = Arc::new(tiny_plan());
-        let a = Replica::start(Arc::clone(&plan), ServeConfig::default());
-        let b = Replica::start(Arc::clone(&plan), ServeConfig::default());
+        // Siblings share one set of counters, as a router model's do.
+        let telemetry = Telemetry::default();
+        let a = Replica::start(Arc::clone(&plan), ServeConfig::default(), telemetry.clone());
+        let b = Replica::start(Arc::clone(&plan), ServeConfig::default(), telemetry);
         a.pause();
         b.pause();
         let tickets: Vec<Ticket> =
             (0..5).map(|s| a.submit(&sample(s)).expect("admitted")).collect();
         assert_eq!(a.queue_depth(), 5);
         // Tear a down mid-pause: its backlog moves to b, tickets intact.
-        let torn = a.dismantle();
-        assert_eq!(torn.pending.len(), 5);
-        assert_eq!(torn.stats.requests, 0, "paused: nothing delivered before teardown");
-        assert_eq!(torn.stats.queue_depth, 0, "extracted backlog left the gauge");
-        for req in torn.pending {
+        let pending = a.dismantle();
+        assert_eq!(pending.len(), 5);
+        assert_eq!(b.stats().requests, 0, "paused: nothing delivered before teardown");
+        for req in pending {
             b.inject(req).expect("sibling accepts");
         }
         assert_eq!(b.queue_depth(), 5);
@@ -1117,17 +984,14 @@ mod tests {
         for (s, t) in tickets.into_iter().enumerate() {
             assert_eq!(t.wait().as_slice(), reference.infer(&sample(s)).as_slice(), "ticket {s}");
         }
-        assert_eq!(b.stats().requests, 5, "the sibling served the rerouted backlog");
+        assert_eq!(b.stats().requests, 5, "the sibling served the rerouted backlog, counted once");
     }
 
     #[test]
     fn inject_bypasses_the_queue_cap_and_bounces_off_shutdown() {
         let plan = Arc::new(tiny_plan());
-        let a = Replica::start(Arc::clone(&plan), ServeConfig::default());
-        let b = Replica::start(
-            Arc::clone(&plan),
-            ServeConfig { queue_cap: 1, ..ServeConfig::default() },
-        );
+        let a = start(Arc::clone(&plan), ServeConfig::default());
+        let b = start(Arc::clone(&plan), ServeConfig { queue_cap: 1, ..ServeConfig::default() });
         a.pause();
         b.pause();
         let _own = b.submit(&sample(9)).expect("fills b to its cap");
@@ -1135,7 +999,7 @@ mod tests {
             (0..3).map(|s| a.submit(&sample(s)).expect("admitted")).collect();
         // b is at cap, but rerouted requests were already admitted once:
         // they must land anyway (zero lost tickets beats the cap).
-        for req in a.dismantle().pending {
+        for req in a.dismantle() {
             b.inject(req).expect("cap does not apply to rerouted requests");
         }
         assert_eq!(b.queue_depth(), 4);
@@ -1146,17 +1010,17 @@ mod tests {
         }
         // A shutting-down replica hands the request back instead of
         // swallowing it.
-        let c = Replica::start(Arc::clone(&plan), ServeConfig::default());
+        let c = start(Arc::clone(&plan), ServeConfig::default());
         c.pause();
         let t = c.submit(&sample(7)).expect("admitted");
-        let mut d = Replica::start(Arc::clone(&plan), ServeConfig::default());
+        let mut d = start(Arc::clone(&plan), ServeConfig::default());
         d.shutdown();
         let mut bounced = Vec::new();
-        for req in c.dismantle().pending {
+        for req in c.dismantle() {
             bounced.push(d.inject(req).expect_err("shut-down replica must refuse"));
         }
         assert_eq!(bounced.len(), 1);
-        let e = Replica::start(Arc::clone(&plan), ServeConfig::default());
+        let e = start(Arc::clone(&plan), ServeConfig::default());
         for req in bounced {
             e.inject(req).expect("live replica accepts the bounced request");
         }
@@ -1166,10 +1030,10 @@ mod tests {
     #[test]
     fn virtual_clock_freezes_latency_accounting() {
         let clock = VirtualClock::shared();
-        let replica = Replica::start_with_clock(
+        let replica = Replica::start(
             Arc::new(tiny_plan()),
             ServeConfig { max_wait: Duration::ZERO, ..ServeConfig::default() },
-            Arc::clone(&clock) as Arc<dyn Clock>,
+            Telemetry { clock: Arc::clone(&clock) as Arc<dyn Clock>, ..Telemetry::default() },
         );
         replica.pause();
         let t0 = replica.submit(&sample(0)).unwrap();
@@ -1182,8 +1046,8 @@ mod tests {
         // All time flowed through the virtual clock: the first request
         // aged exactly the scripted 3 ms, the second not at all, and the
         // measured infer time is zero (the clock never moved during it).
-        assert_eq!(stats.max_latency, Duration::from_millis(3));
-        assert_eq!(stats.latency_sum, Duration::from_millis(3));
+        assert_eq!(stats.max_latency(), Duration::from_millis(3));
+        assert_eq!(stats.latency.sum, 3_000_000);
         assert_eq!(stats.infer_time, Duration::ZERO);
         assert_eq!(stats.ewma_service_ns, 0);
         assert_eq!(replica.ewma_service_ns(), 0);
@@ -1191,7 +1055,7 @@ mod tests {
 
     #[test]
     fn ewma_surfaces_and_resets_through_the_replica() {
-        let replica = Replica::start(Arc::new(tiny_plan()), ServeConfig::default());
+        let replica = start(Arc::new(tiny_plan()), ServeConfig::default());
         assert_eq!(replica.ewma_service_ns(), 0);
         assert!(!replica.is_paused());
         replica.submit(&sample(0)).unwrap().wait();
@@ -1207,8 +1071,8 @@ mod tests {
     #[test]
     fn replicas_share_one_plan() {
         let plan = Arc::new(tiny_plan());
-        let a = Replica::start(Arc::clone(&plan), ServeConfig::default());
-        let b = Replica::start(a.plan(), ServeConfig::default());
+        let a = start(Arc::clone(&plan), ServeConfig::default());
+        let b = start(a.plan(), ServeConfig::default());
         let expect = plan.infer(&sample(2));
         assert_eq!(a.submit(&sample(2)).unwrap().wait().as_slice(), expect.as_slice());
         assert_eq!(b.submit(&sample(2)).unwrap().wait().as_slice(), expect.as_slice());

@@ -1,36 +1,10 @@
-//! Lock-free throughput/latency counters for the batching server.
+//! Serving counters: the per-model `scissor_obs` handles every replica
+//! of a model records into, plus each replica's own routing signals.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Number of latency histogram buckets.
-///
-/// Bucket `i` (for `i > 0`) counts requests whose submit→delivery latency
-/// in nanoseconds has bit length `i`, i.e. lies in `[2^(i-1), 2^i)`;
-/// bucket 0 counts zero-latency requests. 40 buckets cover up to
-/// `2^39 ns ≈ 9.2 min`, with everything slower clamped into the top
-/// bucket.
-pub const LATENCY_BUCKETS: usize = 40;
-
-/// Maps a latency in nanoseconds to its histogram bucket.
-fn latency_bucket(ns: u64) -> usize {
-    ((u64::BITS - ns.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
-}
-
-/// Upper bound (exclusive, in nanoseconds) of latency-histogram bucket
-/// `i`, or `None` for the top bucket — it absorbs everything from
-/// `2^(LATENCY_BUCKETS-2)` ns up, so it has no true upper bound and
-/// reporting `2^39` for it would silently understate slow tails.
-/// Bucket 0 counts exact zero-latency requests (bound 1 ns).
-pub fn bucket_upper_ns(i: usize) -> Option<u64> {
-    if i >= LATENCY_BUCKETS - 1 {
-        None
-    } else if i == 0 {
-        Some(1)
-    } else {
-        Some(1u64 << i)
-    }
-}
+use scissor_obs::{Counter, Histogram, HistogramValue, Registry};
 
 /// Default smoothing factor for the per-replica service-time EWMA, in
 /// percent (`20` ⇒ α = 0.2: each new batch contributes a fifth of the
@@ -76,18 +50,81 @@ impl Ewma {
     }
 }
 
-/// Internal atomic counters, updated by the batcher threads.
+/// One model's serving counters: [`scissor_obs`] handles that every
+/// replica of the model records into.
+///
+/// The cells live as long as any handle, so they outlive the replicas
+/// recording into them: a scale-down needs no hand-off for cumulative
+/// counts to stay monotone. Clones share the cells.
+#[derive(Debug, Clone, Default)]
+pub struct ServeMetrics {
+    latency_ns: Histogram,
+    batch_size: Histogram,
+    full_batches: Counter,
+    shed: Counter,
+    infer_ns: Counter,
+}
+
+impl ServeMetrics {
+    /// Private cells, attached to no registry (a standalone replica's).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The set registered in `registry` under `prefix`, creating it on
+    /// first use (get-or-register, so equal prefixes share cells):
+    ///
+    /// * `<prefix>.latency_ns` — submit→delivery latency histogram;
+    /// * `<prefix>.batch_size` — one observation per forward pass, so its
+    ///   count is the batch count and its sum the sample count;
+    /// * `<prefix>.full_batches` — batches flushed at `max_batch`;
+    /// * `<prefix>.shed` — submissions rejected at a replica's queue cap;
+    /// * `<prefix>.infer_ns` — time spent inside `infer_into`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one of the names is registered as another metric kind.
+    pub fn register(registry: &Registry, prefix: &str) -> Self {
+        Self {
+            latency_ns: registry.histogram(&format!("{prefix}.latency_ns")),
+            batch_size: registry.histogram(&format!("{prefix}.batch_size")),
+            full_batches: registry.counter(&format!("{prefix}.full_batches")),
+            shed: registry.counter(&format!("{prefix}.shed")),
+            infer_ns: registry.counter(&format!("{prefix}.infer_ns")),
+        }
+    }
+
+    /// A reading of the counters, completed with the two per-replica
+    /// gauges the caller supplies.
+    ///
+    /// Cells are read one by one without a lock, so a reading taken
+    /// mid-batch can tear: e.g. see a batch's `full_batches` increment
+    /// but not its batch count. Reading `full_batches` first makes that
+    /// unlikely; `timeout_batches` saturates, which is the actual guard.
+    pub fn read(&self, queue_depth: u64, ewma_service_ns: u64) -> ServeStats {
+        let full_batches = self.full_batches.get();
+        let batch_size = self.batch_size.value();
+        let latency = self.latency_ns.value();
+        ServeStats {
+            requests: latency.count,
+            batches: batch_size.count,
+            samples: batch_size.sum,
+            full_batches,
+            shed: self.shed.get(),
+            queue_depth,
+            infer_time: Duration::from_nanos(self.infer_ns.get()),
+            latency,
+            ewma_service_ns,
+        }
+    }
+}
+
+/// One replica's recorder: the model's shared [`ServeMetrics`] plus the
+/// replica's own queue-depth gauge and service-time EWMA, which routing
+/// reads per replica.
 pub(crate) struct StatsInner {
-    requests: AtomicU64,
-    batches: AtomicU64,
-    samples: AtomicU64,
-    full_batches: AtomicU64,
-    shed: AtomicU64,
+    metrics: ServeMetrics,
     queue_depth: AtomicU64,
-    latency_ns_sum: AtomicU64,
-    latency_ns_max: AtomicU64,
-    infer_ns_sum: AtomicU64,
-    latency_hist: [AtomicU64; LATENCY_BUCKETS],
     /// Per-sample service-time EWMA as f64 bits; `0` = no batch yet (a
     /// genuine 0.0 estimate is stored as `-0.0` bits, numerically equal).
     ewma_service_bits: AtomicU64,
@@ -96,46 +133,30 @@ pub(crate) struct StatsInner {
 
 impl Default for StatsInner {
     fn default() -> Self {
-        Self::with_alpha(DEFAULT_EWMA_ALPHA_PCT)
+        Self::new(ServeMetrics::new(), DEFAULT_EWMA_ALPHA_PCT)
     }
 }
 
 impl StatsInner {
-    pub(crate) fn with_alpha(ewma_alpha_pct: u8) -> Self {
+    pub(crate) fn new(metrics: ServeMetrics, ewma_alpha_pct: u8) -> Self {
         Self {
-            requests: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            samples: AtomicU64::new(0),
-            full_batches: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
+            metrics,
             queue_depth: AtomicU64::new(0),
-            latency_ns_sum: AtomicU64::new(0),
-            latency_ns_max: AtomicU64::new(0),
-            infer_ns_sum: AtomicU64::new(0),
-            latency_hist: std::array::from_fn(|_| AtomicU64::new(0)),
             ewma_service_bits: AtomicU64::new(0),
             ewma_alpha_pct: ewma_alpha_pct.clamp(1, 100),
         }
     }
 
-    // ordering: Relaxed — independent stat accumulators; the snapshot
-    // path documents and tolerates cross-field tearing.
     pub(crate) fn record_request(&self, latency_ns: u64) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.latency_ns_sum.fetch_add(latency_ns, Ordering::Relaxed);
-        self.latency_ns_max.fetch_max(latency_ns, Ordering::Relaxed);
-        self.latency_hist[latency_bucket(latency_ns)].fetch_add(1, Ordering::Relaxed);
+        self.metrics.latency_ns.record(latency_ns);
     }
 
-    // ordering: Relaxed — independent stat accumulators; see `snapshot`
-    // for the tearing discussion.
     pub(crate) fn record_batch(&self, size: u64, full: bool, infer_ns: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.samples.fetch_add(size, Ordering::Relaxed);
+        self.metrics.batch_size.record(size);
         if full {
-            self.full_batches.fetch_add(1, Ordering::Relaxed);
+            self.metrics.full_batches.inc();
         }
-        self.infer_ns_sum.fetch_add(infer_ns, Ordering::Relaxed);
+        self.metrics.infer_ns.add(infer_ns);
         if size > 0 {
             self.record_service(infer_ns as f64 / size as f64);
         }
@@ -179,9 +200,8 @@ impl StatsInner {
         self.ewma_service_bits.store(0, Ordering::Relaxed);
     }
 
-    // ordering: Relaxed — stat counter.
     pub(crate) fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
+        self.metrics.shed.inc();
     }
 
     /// Sets the queue-depth gauge; called while the queue lock is held so
@@ -198,40 +218,20 @@ impl StatsInner {
         self.queue_depth.load(Ordering::Relaxed)
     }
 
-    // ordering: Relaxed — statistical snapshot; the comment below spells
-    // out the tolerated cross-field tearing.
+    /// The model's counters with this replica's depth and EWMA.
     pub(crate) fn snapshot(&self) -> ServeStats {
-        // Counters are read individually (no global lock), so a snapshot
-        // taken mid-batch can tear — e.g. observe a batch's `full_batches`
-        // increment but not its `batches` increment. Reading
-        // `full_batches` before `batches` (the reverse of record_batch's
-        // increment order) makes that unlikely, but Relaxed ordering
-        // guarantees nothing across variables: `timeout_batches`
-        // saturates, which is the actual guard.
-        let full_batches = self.full_batches.load(Ordering::Relaxed);
-        let batches = self.batches.load(Ordering::Relaxed);
-        ServeStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            batches,
-            samples: self.samples.load(Ordering::Relaxed),
-            full_batches,
-            shed: self.shed.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            latency_sum: Duration::from_nanos(self.latency_ns_sum.load(Ordering::Relaxed)),
-            max_latency: Duration::from_nanos(self.latency_ns_max.load(Ordering::Relaxed)),
-            infer_time: Duration::from_nanos(self.infer_ns_sum.load(Ordering::Relaxed)),
-            latency_hist: std::array::from_fn(|i| self.latency_hist[i].load(Ordering::Relaxed)),
-            ewma_service_ns: self.ewma_service_ns(),
-        }
+        self.metrics.read(self.queue_depth(), self.ewma_service_ns())
     }
 }
 
-/// A point-in-time snapshot of a server's counters.
+/// A point-in-time reading of a model's serving counters (see
+/// [`ServeMetrics::read`]).
 ///
-/// Counters are cumulative since [`crate::Replica::start`]. The snapshot is
-/// taken counter-by-counter without a global lock, so totals may be a few
-/// in-flight requests apart from each other under load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Counters are cumulative since the cells were created: for a router
+/// model that is registration, across every replica that ever served it.
+/// The reading is taken cell by cell without a global lock, so totals
+/// may be a few in-flight requests apart from each other under load.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests whose logits have been delivered.
     pub requests: u64,
@@ -242,21 +242,16 @@ pub struct ServeStats {
     /// Batches flushed because they reached `max_batch` (the rest flushed
     /// on the `max_wait` timeout or shutdown drain).
     pub full_batches: u64,
-    /// Submissions rejected because the bounded queue was at capacity.
+    /// Submissions rejected because a bounded queue was at capacity.
     pub shed: u64,
-    /// Queue depth (pending, not-yet-drained requests) at snapshot time —
+    /// Queue depth (pending, not-yet-drained requests) at reading time —
     /// a gauge, not a cumulative counter.
     pub queue_depth: u64,
-    /// Summed submit→delivery latency across requests.
-    pub latency_sum: Duration,
-    /// Worst single-request submit→delivery latency.
-    pub max_latency: Duration,
     /// Time spent inside `CompiledNet::infer_into`.
     pub infer_time: Duration,
-    /// Fixed log₂-bucket latency histogram: bucket `i > 0` counts requests
-    /// with latency in `[2^(i-1), 2^i)` ns (bucket 0: zero latency; the
-    /// top bucket absorbs everything slower than its lower bound).
-    pub latency_hist: [u64; LATENCY_BUCKETS],
+    /// Submit→delivery latency distribution in nanoseconds: log₂
+    /// buckets, count, sum and max.
+    pub latency: HistogramValue,
     /// Per-sample service-time EWMA in nanoseconds (`infer_time` of each
     /// batch divided by its size, exponentially smoothed) — the signal
     /// latency-aware routing scores replicas by. `0` until the first
@@ -276,41 +271,21 @@ impl ServeStats {
 
     /// Mean submit→delivery latency.
     pub fn mean_latency(&self) -> Duration {
-        if self.requests == 0 {
-            Duration::ZERO
-        } else {
-            // Divide in u128 nanoseconds: a u32 cast of `requests` would
-            // truncate (and could divide by zero) past 2³² requests.
-            Duration::from_nanos((self.latency_sum.as_nanos() / self.requests as u128) as u64)
-        }
+        Duration::from_nanos(self.latency.sum.checked_div(self.latency.count).unwrap_or(0))
     }
 
-    /// The latency quantile `q ∈ [0, 1]` read off the fixed-bucket
-    /// histogram, reported as the containing bucket's upper bound (clamped
-    /// to [`ServeStats::max_latency`], which also bounds every quantile) —
-    /// with log₂ buckets the true quantile is at most 2× smaller. A
-    /// quantile landing in the unbounded top bucket reports
-    /// `max_latency` itself — the bucket has no true upper bound
-    /// ([`bucket_upper_ns`] returns `None`), and reporting its lower
-    /// bound's neighbor `2^39 ns` would understate a slow tail. Returns
-    /// `Duration::ZERO` when no request has been recorded.
+    /// Worst single-request submit→delivery latency.
+    pub fn max_latency(&self) -> Duration {
+        Duration::from_nanos(self.latency.max)
+    }
+
+    /// The latency quantile `q ∈ [0, 1]`, read off the histogram as
+    /// [`HistogramValue::quantile`] does: the containing bucket's upper
+    /// bound clamped to the observed max (with log₂ buckets the true
+    /// quantile is at most 2× smaller). `Duration::ZERO` when no request
+    /// has been recorded.
     pub fn latency_percentile(&self, q: f64) -> Duration {
-        let total: u64 = self.latency_hist.iter().sum();
-        if total == 0 {
-            return Duration::ZERO;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, &count) in self.latency_hist.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return match bucket_upper_ns(i) {
-                    Some(upper) => Duration::from_nanos(upper).min(self.max_latency),
-                    None => self.max_latency,
-                };
-            }
-        }
-        self.max_latency
+        Duration::from_nanos(self.latency.quantile(q))
     }
 
     /// Median submit→delivery latency (histogram bucket upper bound).
@@ -328,9 +303,8 @@ impl ServeStats {
         self.latency_percentile(0.99)
     }
 
-    /// 99.9th-percentile submit→delivery latency — the tail the
-    /// observability snapshot reports (at ≥1000 requests it resolves
-    /// beyond p99; below that it reads as the max-ish tail).
+    /// 99.9th-percentile submit→delivery latency (at ≥1000 requests it
+    /// resolves beyond p99; below that it reads as the max-ish tail).
     pub fn p999_latency(&self) -> Duration {
         self.latency_percentile(0.999)
     }
@@ -349,44 +323,6 @@ impl ServeStats {
             0.0
         } else {
             self.samples as f64 / secs
-        }
-    }
-
-    /// Merges another snapshot into this one (counters add; gauges add —
-    /// the merged `queue_depth` is the cluster-wide backlog; `max_latency`
-    /// and `ewma_service_ns` take the max: the merged view reports the
-    /// *slowest* replica's estimate, the one an autoscaler cares about).
-    /// Used to aggregate per-replica stats into a per-model view.
-    pub fn merge(&mut self, other: &ServeStats) {
-        self.ewma_service_ns = self.ewma_service_ns.max(other.ewma_service_ns);
-        self.requests += other.requests;
-        self.batches += other.batches;
-        self.samples += other.samples;
-        self.full_batches += other.full_batches;
-        self.shed += other.shed;
-        self.queue_depth += other.queue_depth;
-        self.latency_sum += other.latency_sum;
-        self.max_latency = self.max_latency.max(other.max_latency);
-        self.infer_time += other.infer_time;
-        for (a, b) in self.latency_hist.iter_mut().zip(other.latency_hist.iter()) {
-            *a += b;
-        }
-    }
-
-    /// An all-zero snapshot (the identity for [`ServeStats::merge`]).
-    pub fn zero() -> Self {
-        ServeStats {
-            requests: 0,
-            batches: 0,
-            samples: 0,
-            full_batches: 0,
-            shed: 0,
-            queue_depth: 0,
-            latency_sum: Duration::ZERO,
-            max_latency: Duration::ZERO,
-            infer_time: Duration::ZERO,
-            latency_hist: [0; LATENCY_BUCKETS],
-            ewma_service_ns: 0,
         }
     }
 }
@@ -410,7 +346,7 @@ mod tests {
         assert_eq!(s.full_batches, 1);
         assert_eq!(s.shed, 0);
         assert_eq!(s.timeout_batches(), 1);
-        assert_eq!(s.max_latency, Duration::from_nanos(3_000));
+        assert_eq!(s.max_latency(), Duration::from_nanos(3_000));
         assert_eq!(s.mean_latency(), Duration::from_nanos(2_000));
         assert!((s.mean_batch_size() - 1.5).abs() < 1e-12);
         assert!(s.infer_throughput() > 0.0);
@@ -423,7 +359,9 @@ mod tests {
         assert_eq!(s.mean_latency(), Duration::ZERO);
         assert_eq!(s.infer_throughput(), 0.0);
         assert_eq!(s.latency_percentile(0.5), Duration::ZERO);
-        assert_eq!(s, ServeStats::zero());
+        assert_eq!(s.latency, HistogramValue::zero());
+        assert_eq!((s.requests, s.batches, s.samples, s.full_batches, s.shed), (0, 0, 0, 0, 0));
+        assert_eq!((s.queue_depth, s.infer_time, s.ewma_service_ns), (0, Duration::ZERO, 0));
     }
 
     #[test]
@@ -436,85 +374,6 @@ mod tests {
         assert_eq!(s.shed, 2);
         assert_eq!(s.queue_depth, 7);
         assert_eq!(inner.queue_depth(), 7);
-    }
-
-    #[test]
-    fn latency_buckets_are_log2() {
-        assert_eq!(latency_bucket(0), 0);
-        assert_eq!(latency_bucket(1), 1);
-        assert_eq!(latency_bucket(2), 2);
-        assert_eq!(latency_bucket(3), 2);
-        assert_eq!(latency_bucket(4), 3);
-        assert_eq!(latency_bucket(1 << 38), LATENCY_BUCKETS - 1);
-        // Past the top bucket everything clamps.
-        assert_eq!(latency_bucket(u64::MAX), LATENCY_BUCKETS - 1);
-        assert_eq!(bucket_upper_ns(0), Some(1));
-        assert_eq!(bucket_upper_ns(3), Some(8));
-        // The top bucket is unbounded: it has no honest upper bound.
-        assert_eq!(bucket_upper_ns(LATENCY_BUCKETS - 1), None);
-        assert_eq!(bucket_upper_ns(LATENCY_BUCKETS - 2), Some(1u64 << (LATENCY_BUCKETS - 2)));
-    }
-
-    #[test]
-    fn percentiles_read_off_the_histogram() {
-        let inner = StatsInner::default();
-        // 90 fast requests (~1 µs), 9 at ~1 ms, 1 at ~1 s.
-        for _ in 0..90 {
-            inner.record_request(1_000);
-        }
-        for _ in 0..9 {
-            inner.record_request(1_000_000);
-        }
-        inner.record_request(1_000_000_000);
-        let s = inner.snapshot();
-        // Bucket upper bounds: the p50/p90 land in the ~1 µs bucket
-        // ([512, 1024) ns → upper 1024), p95 in the ~1 ms bucket, p100 in
-        // the ~1 s bucket.
-        assert_eq!(s.p50_latency(), Duration::from_nanos(1024));
-        assert_eq!(s.latency_percentile(0.90), Duration::from_nanos(1024));
-        assert_eq!(s.p95_latency(), Duration::from_nanos(1 << 20));
-        assert_eq!(s.p99_latency(), Duration::from_nanos(1 << 20));
-        // The top quantile's bucket bound (2^30 ns) exceeds the recorded
-        // max, so it clamps to the max — no percentile ever reads above it.
-        assert_eq!(s.latency_percentile(1.0), Duration::from_nanos(1_000_000_000));
-        assert!(s.p50_latency() <= s.p95_latency());
-        assert!(s.p95_latency() <= s.p99_latency());
-        assert!(s.p99_latency() <= s.p999_latency());
-    }
-
-    #[test]
-    fn p999_resolves_a_one_in_a_thousand_tail() {
-        let inner = StatsInner::default();
-        // 900 fast requests and exactly one slow one (rank ceil(0.999·901)
-        // = 901): p99 stays in the fast bucket, p99.9 must reach the slow
-        // one.
-        for _ in 0..900 {
-            inner.record_request(1_000);
-        }
-        inner.record_request(1_000_000);
-        let s = inner.snapshot();
-        assert_eq!(s.p99_latency(), Duration::from_nanos(1024));
-        // Bucket upper 2^20 ns clamps to the observed max (1 ms).
-        assert_eq!(s.p999_latency(), Duration::from_nanos(1_000_000));
-    }
-
-    #[test]
-    fn top_bucket_quantiles_report_max_not_a_fabricated_bound() {
-        let inner = StatsInner::default();
-        // A ~17.5 min latency lands in the unbounded top bucket, well past
-        // its lower bound of 2^38 ns. The old rendering clamped the
-        // quantile to bucket "upper" 2^39 ≈ 9.2 min; the true bound is the
-        // observed max.
-        let slow_ns = 1_050_000_000_000u64; // > 2^39
-        assert_eq!(latency_bucket(slow_ns), LATENCY_BUCKETS - 1);
-        for _ in 0..9 {
-            inner.record_request(1_000);
-        }
-        inner.record_request(slow_ns);
-        let s = inner.snapshot();
-        assert_eq!(s.latency_percentile(1.0), Duration::from_nanos(slow_ns));
-        assert_eq!(s.p999_latency(), Duration::from_nanos(slow_ns));
-        assert!(s.latency_percentile(1.0) > Duration::from_nanos(1u64 << 39));
     }
 
     #[test]
@@ -557,26 +416,32 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters_and_maxes_latency() {
-        let a = StatsInner::default();
+    fn recorders_sharing_metrics_add_up_but_keep_depth_and_ewma_per_replica() {
+        let shared = ServeMetrics::new();
+        let a = StatsInner::new(shared.clone(), DEFAULT_EWMA_ALPHA_PCT);
+        let b = StatsInner::new(shared.clone(), DEFAULT_EWMA_ALPHA_PCT);
         a.record_request(1_000);
         a.record_batch(1, true, 100);
         a.set_queue_depth(2);
-        let b = StatsInner::default();
         b.record_request(5_000);
         b.record_request(3_000);
         b.record_batch(2, false, 300);
         b.record_shed();
         b.set_queue_depth(1);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m.requests, 3);
-        assert_eq!(m.batches, 2);
-        assert_eq!(m.samples, 3);
-        assert_eq!(m.shed, 1);
-        assert_eq!(m.queue_depth, 3);
-        assert_eq!(m.max_latency, Duration::from_nanos(5_000));
-        assert_eq!(m.latency_sum, Duration::from_nanos(9_000));
-        assert_eq!(m.latency_hist.iter().sum::<u64>(), 3);
+        let (sa, sb) = (a.snapshot(), b.snapshot());
+        // One reading of the shared cells carries both recorders' counts.
+        for s in [&sa, &sb, &shared.read(0, 0)] {
+            assert_eq!(s.requests, 3);
+            assert_eq!(s.batches, 2);
+            assert_eq!(s.samples, 3);
+            assert_eq!(s.full_batches, 1);
+            assert_eq!(s.shed, 1);
+            assert_eq!(s.infer_time, Duration::from_nanos(400));
+            assert_eq!(s.max_latency(), Duration::from_nanos(5_000));
+            assert_eq!(s.latency.sum, 9_000);
+        }
+        // The routing signals stay each replica's own.
+        assert_eq!((sa.queue_depth, sb.queue_depth), (2, 1));
+        assert_eq!((sa.ewma_service_ns, sb.ewma_service_ns), (100, 150));
     }
 }

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use scissor_nn::{CompiledNet, NetworkBuilder, Tensor4};
-use scissor_serve::{Replica, ServeConfig, ServeError, Server};
+use scissor_serve::{Replica, ServeConfig, ServeError, Telemetry};
 
 fn plan() -> CompiledNet {
     let mut rng = StdRng::seed_from_u64(23);
@@ -24,6 +24,10 @@ fn plan() -> CompiledNet {
         .build()
         .compile()
         .expect("compile")
+}
+
+fn start(cfg: ServeConfig) -> Arc<Replica> {
+    Arc::new(Replica::start(Arc::new(plan()), cfg, Telemetry::default()))
 }
 
 /// Deterministic per-request sample, distinct across (thread, request).
@@ -42,13 +46,13 @@ fn sample(thread: usize, request: usize) -> Tensor4 {
 /// the direct batch pass over the identical samples.
 fn stress(cfg: ServeConfig, threads: usize, requests: usize) {
     let reference_plan = plan();
-    let server = Arc::new(Server::start(plan(), cfg));
+    let replica = start(cfg);
     let handles: Vec<_> = (0..threads)
         .map(|t| {
-            let server = Arc::clone(&server);
+            let replica = Arc::clone(&replica);
             std::thread::spawn(move || {
                 (0..requests)
-                    .map(|r| server.submit(&sample(t, r)).expect("submit"))
+                    .map(|r| replica.submit(&sample(t, r)).expect("submit").wait())
                     .collect::<Vec<_>>()
             })
         })
@@ -75,7 +79,7 @@ fn stress(cfg: ServeConfig, threads: usize, requests: usize) {
         }
     }
 
-    let stats = server.stats();
+    let stats = replica.stats();
     assert_eq!(stats.requests as usize, threads * requests);
     assert_eq!(stats.samples, stats.requests);
     assert_eq!(stats.full_batches + stats.timeout_batches(), stats.batches);
@@ -145,19 +149,16 @@ fn underfull_batch_flushes_on_max_wait_and_all_callers_complete() {
     // max-wait timer. Every caller must still get exact logits, and every
     // batch must be accounted a timeout flush.
     let reference_plan = plan();
-    let server = Arc::new(Server::start(
-        plan(),
-        ServeConfig {
-            max_batch: 64,
-            max_wait: Duration::from_millis(5),
-            workers: 1,
-            ..ServeConfig::default()
-        },
-    ));
+    let replica = start(ServeConfig {
+        max_batch: 64,
+        max_wait: Duration::from_millis(5),
+        workers: 1,
+        ..ServeConfig::default()
+    });
     let handles: Vec<_> = (0..6)
         .map(|t| {
-            let server = Arc::clone(&server);
-            std::thread::spawn(move || server.submit(&sample(t, 0)).expect("submit"))
+            let replica = Arc::clone(&replica);
+            std::thread::spawn(move || replica.submit(&sample(t, 0)).expect("submit").wait())
         })
         .collect();
     for (t, h) in handles.into_iter().enumerate() {
@@ -165,11 +166,11 @@ fn underfull_batch_flushes_on_max_wait_and_all_callers_complete() {
         let want = reference_plan.infer(&sample(t, 0));
         assert_eq!(got.as_slice(), want.as_slice(), "caller {t}");
     }
-    let stats = server.stats();
+    let stats = replica.stats();
     assert_eq!(stats.requests, 6);
     assert_eq!(stats.full_batches, 0, "nothing can fill a 64-slot batch here");
     assert!(stats.timeout_batches() >= 1);
-    assert!(stats.max_latency >= Duration::from_millis(5) || stats.batches > 1);
+    assert!(stats.max_latency() >= Duration::from_millis(5) || stats.batches > 1);
 }
 
 #[test]
@@ -181,15 +182,12 @@ fn concurrent_open_loop_overload_sheds_and_delivers_the_rest() {
     // makes the shed count deterministic (exactly total - cap admitted).
     let reference_plan = plan();
     let cap = 16;
-    let replica = Arc::new(Replica::start(
-        Arc::new(plan()),
-        ServeConfig {
-            max_batch: 8,
-            max_wait: Duration::ZERO,
-            queue_cap: cap,
-            ..ServeConfig::default()
-        },
-    ));
+    let replica = start(ServeConfig {
+        max_batch: 8,
+        max_wait: Duration::ZERO,
+        queue_cap: cap,
+        ..ServeConfig::default()
+    });
     replica.pause();
     let handles: Vec<_> = (0..6)
         .map(|t| {
@@ -224,20 +222,17 @@ fn concurrent_open_loop_overload_sheds_and_delivers_the_rest() {
 
 #[test]
 fn latency_percentiles_are_ordered_and_populated_under_load() {
-    let server = Arc::new(Server::start(
-        plan(),
-        ServeConfig {
-            max_batch: 8,
-            max_wait: Duration::from_micros(300),
-            ..ServeConfig::default()
-        },
-    ));
+    let replica = start(ServeConfig {
+        max_batch: 8,
+        max_wait: Duration::from_micros(300),
+        ..ServeConfig::default()
+    });
     let handles: Vec<_> = (0..4)
         .map(|t| {
-            let server = Arc::clone(&server);
+            let replica = Arc::clone(&replica);
             std::thread::spawn(move || {
                 for r in 0..25 {
-                    server.submit(&sample(t, r)).expect("submit");
+                    replica.submit(&sample(t, r)).expect("submit").wait();
                 }
             })
         })
@@ -245,14 +240,14 @@ fn latency_percentiles_are_ordered_and_populated_under_load() {
     for h in handles {
         h.join().expect("caller");
     }
-    let stats = server.stats();
+    let stats = replica.stats();
     assert_eq!(stats.requests, 100);
-    assert_eq!(stats.latency_hist.iter().sum::<u64>(), 100);
+    assert_eq!(stats.latency.buckets.iter().sum::<u64>(), 100);
     let (p50, p95, p99) = (stats.p50_latency(), stats.p95_latency(), stats.p99_latency());
     assert!(p50 > Duration::ZERO);
     assert!(p50 <= p95 && p95 <= p99);
     // Reported percentiles are bucket upper bounds clamped to the
     // observed max, so no quantile may ever read above it.
-    assert!(p99 <= stats.max_latency);
-    assert!(stats.mean_latency() <= stats.max_latency);
+    assert!(p99 <= stats.max_latency());
+    assert!(stats.mean_latency() <= stats.max_latency());
 }

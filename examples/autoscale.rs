@@ -69,7 +69,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 max_wait: Duration::from_millis(1),
                 ..ServeConfig::default()
             },
-            ..ModelConfig::default()
         },
     )?;
 

@@ -113,13 +113,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     router.calibrate_tiles("lenet", 2)?;
     println!("\n== metrics registry ==");
-    // Syncs the serve.*/pool.*/trace.* gauges as a side effect, so the
-    // table below is current.
-    let doc = router.observability_json();
     println!("{}", router.registry().snapshot().render_table());
 
     // 4. The whole document.
     println!("== observability_snapshot() ==");
-    println!("{doc}");
+    println!("{}", router.observability_json());
     Ok(())
 }

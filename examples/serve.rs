@@ -24,7 +24,7 @@ use rand::SeedableRng;
 use group_scissor_repro::data::SynthOptions;
 use group_scissor_repro::nn::{InferScratch, Phase};
 use group_scissor_repro::pipeline::ModelKind;
-use group_scissor_repro::serve::{ServeConfig, Server};
+use group_scissor_repro::serve::{Replica, ServeConfig, Telemetry};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = ModelKind::LeNet;
@@ -85,26 +85,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         per_sample_logits.iter().flat_map(|t| t.as_slice().to_vec()).collect();
     assert_eq!(flat_per_sample, batched_logits, "serving must not change a single bit");
 
-    // 3. Concurrent callers through the micro-batching server.
-    let server = Arc::new(Server::start(
-        net.compile()?,
+    // 3. Concurrent callers through the micro-batching replica.
+    let replica = Arc::new(Replica::start(
+        Arc::new(net.compile()?),
         ServeConfig {
             max_batch: batch,
             max_wait: Duration::from_millis(2),
             workers: 1,
             ..ServeConfig::default()
         },
+        Telemetry::default(),
     ));
     let callers = 8;
     let start = Instant::now();
     let handles: Vec<_> = (0..callers)
         .map(|t| {
-            let server = Arc::clone(&server);
+            let replica = Arc::clone(&replica);
             let images = images.clone();
             std::thread::spawn(move || {
                 for s in (t..n).step_by(callers) {
                     let sample = images.gather(&[s]);
-                    server.submit(&sample).expect("serve");
+                    replica.submit(&sample).expect("serve").wait();
                 }
             })
         })
@@ -113,7 +114,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         h.join().expect("caller thread");
     }
     let served = start.elapsed();
-    let stats = server.stats();
+    let stats = replica.stats();
     println!(
         "micro-batched serving:  {served:>10.2?}  ({:.0} samples/s end-to-end)",
         n as f64 / served.as_secs_f64()
@@ -132,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.p50_latency(),
         stats.p95_latency(),
         stats.p99_latency(),
-        stats.max_latency
+        stats.max_latency()
     );
     println!("  inference throughput {:.0} samples/s", stats.infer_throughput());
     Ok(())

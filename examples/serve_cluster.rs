@@ -61,7 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_wait: Duration::from_millis(2),
             ..ServeConfig::default()
         },
-        ..ModelConfig::default()
     };
     router.register_shared("lenet", Arc::clone(&lenet), cfg)?;
     router.register_shared("convnet", Arc::clone(&convnet), cfg)?;
@@ -162,7 +161,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             s.serve.p50_latency(),
             s.serve.p95_latency(),
             s.serve.p99_latency(),
-            s.serve.max_latency,
+            s.serve.max_latency(),
             s.serve.infer_throughput()
         );
     }

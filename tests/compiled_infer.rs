@@ -2,7 +2,7 @@
 //! `CompiledNet` logits must be **bitwise identical** to
 //! `Network::forward(.., Phase::Eval)` on LeNet and ConvNet — dense,
 //! rank-clipped (low-rank) and group-deleted (masked) variants — and the
-//! batched server must preserve that identity end to end.
+//! batching replica must preserve that identity end to end.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,7 +14,7 @@ use group_scissor_repro::data::SynthOptions;
 use group_scissor_repro::lra::{direct_lra, LraMethod};
 use group_scissor_repro::nn::{InferScratch, Phase, Tensor4};
 use group_scissor_repro::pipeline::ModelKind;
-use group_scissor_repro::serve::{ServeConfig, Server};
+use group_scissor_repro::serve::{Replica, ServeConfig, Telemetry};
 
 fn assert_bitwise_identical(model: ModelKind, net: &mut group_scissor_repro::nn::Network) {
     let plan = net.compile().expect("compile");
@@ -98,18 +98,19 @@ fn served_lenet_logits_are_bitwise_identical_to_eval() {
     let idx: Vec<usize> = (0..n).collect();
     let expect = net.forward(&images.gather(&idx), Phase::Eval);
 
-    let server = Arc::new(Server::start(
-        net.compile().expect("compile"),
+    let replica = Arc::new(Replica::start(
+        Arc::new(net.compile().expect("compile")),
         ServeConfig { max_batch: 8, max_wait: Duration::from_millis(1), ..ServeConfig::default() },
+        Telemetry::default(),
     ));
     let handles: Vec<_> = (0..4)
         .map(|t| {
-            let server = Arc::clone(&server);
+            let replica = Arc::clone(&replica);
             let images = images.clone();
             std::thread::spawn(move || {
                 (t..n)
                     .step_by(4)
-                    .map(|s| (s, server.submit(&images.gather(&[s])).expect("submit")))
+                    .map(|s| (s, replica.submit(&images.gather(&[s])).expect("submit").wait()))
                     .collect::<Vec<(usize, Vec<f32>)>>()
             })
         })
@@ -121,7 +122,7 @@ fn served_lenet_logits_are_bitwise_identical_to_eval() {
             assert!(identical, "sample {s}: served logits must be bitwise identical");
         }
     }
-    assert_eq!(server.stats().requests as usize, n);
+    assert_eq!(replica.stats().requests as usize, n);
 }
 
 #[test]

@@ -9,7 +9,7 @@ use group_scissor_repro::ncs::INT8_MAGNITUDES;
 use group_scissor_repro::nn::ServingForm;
 use group_scissor_repro::pipeline::{run_pipeline_on, GroupScissorConfig, ModelKind, TrainConfig};
 use group_scissor_repro::router::{ModelConfig, Router};
-use group_scissor_repro::serve::{Replica, ServeConfig};
+use group_scissor_repro::serve::{Replica, ServeConfig, Telemetry};
 
 /// Documented accuracy tolerance of int8 group quantization on the smoke
 /// presets: symmetric per-group int8 keeps every layer's weights within
@@ -87,10 +87,11 @@ fn server_and_router_surface_the_serving_form() {
     let (train, test) = cfg.datasets();
     let outcome = run_pipeline_on(&cfg, &train, &test).expect("pipeline must run");
 
-    // Server level: a replica reports its plan's form; the plan is shared
+    // Replica level: a replica reports its plan's form; the plan is shared
     // (one Arc) between the replica and the router registration below.
     let int8_plan = Arc::new(outcome.compiled_int8);
-    let mut replica = Replica::start(Arc::clone(&int8_plan), ServeConfig::default());
+    let mut replica =
+        Replica::start(Arc::clone(&int8_plan), ServeConfig::default(), Telemetry::default());
     assert_eq!(replica.serving_form(), ServingForm::Int8 { group_size: cfg.spec.max_cols() });
     let sample = test.images().gather(&[0]);
     let logits = replica.submit(&sample).expect("submit").wait();
