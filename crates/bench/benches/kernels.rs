@@ -106,8 +106,13 @@ fn bench_im2col(c: &mut Criterion) {
 fn bench_spectral(c: &mut Criterion) {
     let mut g = c.benchmark_group("spectral");
     g.sample_size(10);
-    // PCA of the layer shapes rank clipping sees most often.
-    for (n, m, name) in [(500usize, 50usize, "pca_conv2_500x50"), (800, 128, "pca_fc1u_800x128")] {
+    // PCA of the layer shapes rank clipping sees most often, plus the dense
+    // fc1 weight behind its first fc1 fit and Direct LRA (the largest fit).
+    for (n, m, name) in [
+        (500usize, 50usize, "pca_conv2_500x50"),
+        (800, 128, "pca_fc1u_800x128"),
+        (800, 500, "pca_fc1_800x500"),
+    ] {
         let w = rand_matrix(n, m, 7);
         g.bench_function(name, |bench| {
             bench.iter(|| Pca::fit(&w).expect("fit"));

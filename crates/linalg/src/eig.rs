@@ -1,43 +1,34 @@
-//! Symmetric eigendecomposition via the cyclic Jacobi method.
+//! Symmetric eigendecomposition by Householder tridiagonalization and
+//! implicit-shift QL.
 //!
 //! PCA (the paper's Algorithm 1) needs the full spectrum of an `M × M`
 //! covariance/Gram matrix where `M ≤ 1024` for every layer of LeNet and
-//! ConvNet — squarely in the regime where Jacobi iteration is simple, robust
-//! and accurate. All arithmetic is `f64`; the public API converts from/to the
-//! workspace's `f32` [`Matrix`].
+//! ConvNet. The solver is EISPACK's `tred2`/`tql2` pair (as in JAMA):
+//! `n − 2` Householder reflections reduce `A` to a tridiagonal `T` while
+//! accumulating the orthogonal `Q` with `A = Q·T·Qᵀ`, then QL iterations
+//! with implicit shifts diagonalize `T`, each iteration chasing one bulge
+//! with plane rotations that are also applied to `Q`. The reduction is a
+//! fixed `O(n³)` pass, and QL needs about two `O(n²)` iterations per
+//! eigenvalue. All arithmetic is `f64`; the public API converts from/to
+//! the workspace's `f32` [`Matrix`].
 //!
-//! # Sweep ordering
+//! # Layout
 //!
-//! Small matrices use the textbook row-cyclic ordering: rotations applied
-//! one pair at a time, two-sided, in place. At `ROUND_SWEEP_MIN_N` (64)
-//! and above, a sweep is instead organized as `n - 1`
-//! *tournament rounds* (round-robin scheduling): each round annihilates
-//! `⌊n/2⌋` pairwise-disjoint pivots. Disjoint rotations commute, so the
-//! whole round is one orthogonal similarity `A ← JᵀAJ`, applied as a right
-//! pass (`C = A·J`: two elements per row per rotation, rows independent)
-//! followed by a left pass (`A' = Jᵀ·C`: two whole rows per rotation, pairs
-//! disjoint) — every pass streams contiguous rows instead of walking
-//! columns, and the row blocks of each large enough pass fan out across
-//! rayon's persistent pool. Both orderings visit every pair exactly once
-//! per sweep and share the same convergence test.
+//! The working buffer holds `Qᵀ` rather than `Q`: every column the
+//! textbook algorithm walks becomes a contiguous row. The reduction's
+//! matrix-vector products read rows of the upper triangle, the
+//! accumulation's dot products and updates run along rows, and each QL
+//! rotation mixes two whole adjacent rows — pure streams that vectorize.
+//! This is an index relabelling of the textbook loops, not a reordering of
+//! their arithmetic. The eigenvectors end up as rows and are transposed
+//! into columns once, while sorting.
 
 use crate::error::{LinalgError, Result};
-use crate::ops::matmul_worker_threads;
 use crate::Matrix;
-use rayon::prelude::*;
 
-/// Maximum number of full Jacobi sweeps before reporting non-convergence.
-const MAX_SWEEPS: usize = 64;
-
-/// Matrix order at which sweeps switch from the in-place row-cyclic
-/// ordering to round-robin rounds (see the module docs). Below this the
-/// two extra row-major passes cost more than the strided column walks they
-/// replace.
-const ROUND_SWEEP_MIN_N: usize = 64;
-
-/// Minimum rows-per-task granularity (in f64 elements touched) before a
-/// rotation pass is worth dispatching to the pool.
-const PAR_PASS_MIN_ELEMS: usize = 1 << 14;
+/// QL iterations allowed per eigenvalue before reporting non-convergence
+/// (EISPACK's limit; PCA fits at layer shapes average about two).
+const MAX_QL_ITERS: usize = 30;
 
 /// Result of a symmetric eigendecomposition: `A = V · diag(λ) · Vᵀ`.
 ///
@@ -76,9 +67,8 @@ impl SymEig {
 ///
 /// Returns [`LinalgError::ShapeMismatch`] for non-square input,
 /// [`LinalgError::NonFinite`] if any entry is NaN or infinite, and
-/// [`LinalgError::NoConvergence`] if the off-diagonal mass has not vanished
-/// after the sweep budget (does not happen for well-scaled covariance
-/// matrices).
+/// [`LinalgError::NoConvergence`] if some eigenvalue needs more than 30 QL
+/// iterations (does not happen for finite symmetric input in practice).
 ///
 /// # Examples
 ///
@@ -91,19 +81,6 @@ impl SymEig {
 /// # Ok::<(), scissor_linalg::LinalgError>(())
 /// ```
 pub fn sym_eig(a: &Matrix) -> Result<SymEig> {
-    sym_eig_impl(a, true)
-}
-
-/// Always-sequential reference implementation of [`sym_eig`].
-///
-/// Every rotation pass runs on the calling thread; [`sym_eig`] with the
-/// pool enabled must agree with this bitwise (the `spectral_agreement`
-/// proptests assert exact equality, as for the matmul kernels).
-pub fn sym_eig_serial(a: &Matrix) -> Result<SymEig> {
-    sym_eig_impl(a, false)
-}
-
-fn sym_eig_impl(a: &Matrix, allow_parallel: bool) -> Result<SymEig> {
     if a.rows() != a.cols() {
         return Err(LinalgError::ShapeMismatch {
             expected: (a.rows(), a.rows()),
@@ -118,324 +95,212 @@ fn sym_eig_impl(a: &Matrix, allow_parallel: bool) -> Result<SymEig> {
             buf[i * n + j] = 0.5 * (a[(i, j)] as f64 + a[(j, i)] as f64);
         }
     }
-    let (values, vectors) = sym_eig_f64(&mut buf, n, allow_parallel)?;
+    let (values, vectors) = sym_eig_f64(&mut buf, n)?;
     Ok(SymEig { values, vectors: Matrix::from_f64_vec(n, n, &vectors) })
 }
 
-/// Jacobi eigendecomposition over a raw `f64` buffer (row-major `n × n`,
-/// destroyed in place). Returns `(eigenvalues desc, eigenvectors col-major as
-/// row-major n×n matrix)`. `allow_parallel = false` forces every rotation
-/// pass onto the calling thread (bitwise-identical by the pass contracts).
+/// Eigendecomposition of a symmetric row-major `n × n` `f64` buffer, which
+/// is used as workspace and destroyed. Returns `(eigenvalues descending,
+/// eigenvectors as the columns of a row-major n×n matrix)`.
 ///
-/// Non-finite entries are rejected up front: a NaN never converges (all
-/// sweeps burn before `NoConvergence`), and an infinity makes the
-/// tolerance infinite, so the first convergence check would pass on garbage.
-pub(crate) fn sym_eig_f64(
-    a: &mut [f64],
-    n: usize,
-    allow_parallel: bool,
-) -> Result<(Vec<f64>, Vec<f64>)> {
+/// Non-finite entries are rejected up front: a NaN would spread through
+/// every reflector and rotation, and an infinity makes the deflation test
+/// meaningless, so neither could produce a usable answer.
+pub(crate) fn sym_eig_f64(a: &mut [f64], n: usize) -> Result<(Vec<f64>, Vec<f64>)> {
     if !a.iter().all(|x| x.is_finite()) {
         return Err(LinalgError::NonFinite { op: "sym_eig" });
     }
-    let mut v = vec![0.0_f64; n * n];
-    for i in 0..n {
-        v[i * n + i] = 1.0;
+    let mut d = vec![0.0_f64; n];
+    let mut e = vec![0.0_f64; n];
+    if n > 0 {
+        tred2(a, n, &mut d, &mut e);
+        tql2(a, n, &mut d, &mut e)?;
     }
-    if n <= 1 {
-        let values = if n == 1 { vec![a[0]] } else { vec![] };
-        return Ok((values, v));
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&i, &j| d[j].total_cmp(&d[i]));
+    let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
+    let mut vectors = vec![0.0_f64; n * n];
+    for (col, &src) in order.iter().enumerate() {
+        for (row, &x) in a[src * n..src * n + n].iter().enumerate() {
+            vectors[row * n + col] = x;
+        }
     }
+    Ok((values, vectors))
+}
 
-    let frob: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if frob == 0.0 {
-        return Ok((vec![0.0; n], v));
+/// Householder reduction to tridiagonal form (EISPACK `tred2`).
+///
+/// On entry `z` holds the symmetric matrix; on exit it holds `Qᵀ` with
+/// `A = Q·T·Qᵀ`, `d` the diagonal of `T` and `e[1..]` its subdiagonal
+/// (`e[0] = 0`). Indices are those of the textbook `V[r][c]` read as
+/// `z[c·n + r]`, so the reduction reads the upper triangle row by row and
+/// stores reflector `i` in row `i`.
+fn tred2(z: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
+    for (j, dj) in d.iter_mut().enumerate() {
+        *dj = z[j * n + n - 1];
     }
-    let tol = 1e-14 * frob;
-
-    let use_rounds = n >= ROUND_SWEEP_MIN_N;
-    // Backs the out-of-place parallel left pass; grown lazily on the first
-    // pass that actually fans out, so serial solves never pay for it.
-    let mut scratch: Vec<f64> = Vec::new();
-
-    for _sweep in 0..MAX_SWEEPS {
-        let mut off = 0.0_f64;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                off += a[p * n + q] * a[p * n + q];
+    for i in (1..n).rev() {
+        let scale: f64 = d[..i].iter().map(|x| x.abs()).sum();
+        let mut h = 0.0_f64;
+        if scale == 0.0 {
+            // Row `i` is already reduced: skip the reflector.
+            e[i] = d[i - 1];
+            for j in 0..i {
+                d[j] = z[j * n + i - 1];
+                z[j * n + i] = 0.0;
+                z[i * n + j] = 0.0;
             }
-        }
-        if off.sqrt() <= tol {
-            return Ok(finish(a, v, n));
-        }
-        if use_rounds {
-            round_robin_sweep(a, &mut v, n, tol, &mut scratch, allow_parallel);
         } else {
-            row_cyclic_sweep(a, &mut v, n, tol);
-        }
-    }
-
-    // One final tolerance check at a looser bound: Jacobi converges
-    // quadratically, so landing here with tiny residual off-diagonals is
-    // still a usable answer.
-    let mut off = 0.0_f64;
-    for p in 0..n {
-        for q in (p + 1)..n {
-            off += a[p * n + q] * a[p * n + q];
-        }
-    }
-    if off.sqrt() <= 1e-8 * frob {
-        return Ok(finish(a, v, n));
-    }
-    Err(LinalgError::NoConvergence { solver: "jacobi eigensolver", sweeps: MAX_SWEEPS })
-}
-
-/// One plane rotation `J(p, q; c, s)` chosen to annihilate `a_pq`.
-#[derive(Debug, Clone, Copy)]
-struct PlaneRot {
-    p: usize,
-    q: usize,
-    c: f64,
-    s: f64,
-}
-
-/// Computes the classic Jacobi rotation annihilating `a_pq`, or `None` when
-/// the pivot is already below the rotation threshold.
-fn plane_rotation(a: &[f64], n: usize, p: usize, q: usize, tol: f64) -> Option<PlaneRot> {
-    let apq = a[p * n + q];
-    if apq.abs() <= tol / (n as f64) {
-        return None;
-    }
-    let app = a[p * n + p];
-    let aqq = a[q * n + q];
-    // Choose t = tan θ that annihilates a_pq.
-    let theta = (aqq - app) / (2.0 * apq);
-    let t = if theta >= 0.0 {
-        1.0 / (theta + (1.0 + theta * theta).sqrt())
-    } else {
-        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-    };
-    let c = 1.0 / (1.0 + t * t).sqrt();
-    let s = t * c;
-    Some(PlaneRot { p, q, c, s })
-}
-
-/// Textbook in-place row-cyclic sweep: rotations applied two-sided, one
-/// pair at a time, each seeing all previous updates.
-fn row_cyclic_sweep(a: &mut [f64], v: &mut [f64], n: usize, tol: f64) {
-    for p in 0..n {
-        for q in (p + 1)..n {
-            let Some(rot) = plane_rotation(a, n, p, q, tol) else {
-                continue;
-            };
-            let (c, s) = (rot.c, rot.s);
-            // Update rows/columns p and q of A (symmetric two-sided rotation).
-            for k in 0..n {
-                let akp = a[k * n + p];
-                let akq = a[k * n + q];
-                a[k * n + p] = c * akp - s * akq;
-                a[k * n + q] = s * akp + c * akq;
+            for dk in &mut d[..i] {
+                *dk /= scale;
+                h += *dk * *dk;
             }
-            for k in 0..n {
-                let apk = a[p * n + k];
-                let aqk = a[q * n + k];
-                a[p * n + k] = c * apk - s * aqk;
-                a[q * n + k] = s * apk + c * aqk;
+            let mut f = d[i - 1];
+            let mut g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
+            e[i] = scale * g;
+            h -= f * g;
+            d[i - 1] = f - g;
+            e[..i].fill(0.0);
+            // e ← A·u over the leading i×i block, read from its upper
+            // triangle (row j, columns j..i).
+            for j in 0..i {
+                f = d[j];
+                z[i * n + j] = f;
+                let row = &z[j * n + j..j * n + i];
+                g = e[j] + row[0] * f;
+                for ((&zjk, &dk), ek) in row[1..].iter().zip(&d[j + 1..i]).zip(&mut e[j + 1..i]) {
+                    g += zjk * dk;
+                    *ek += zjk * f;
+                }
+                e[j] = g;
             }
-            // Accumulate the rotation into V (columns are eigenvectors).
-            for k in 0..n {
-                let vkp = v[k * n + p];
-                let vkq = v[k * n + q];
-                v[k * n + p] = c * vkp - s * vkq;
-                v[k * n + q] = s * vkp + c * vkq;
+            f = 0.0;
+            for (ej, &dj) in e[..i].iter_mut().zip(&d[..i]) {
+                *ej /= h;
+                f += *ej * dj;
+            }
+            let hh = f / (h + h);
+            for (ej, &dj) in e[..i].iter_mut().zip(&d[..i]) {
+                *ej -= hh * dj;
+            }
+            // Rank-2 update A ← A − u·pᵀ − p·uᵀ of the upper triangle.
+            for j in 0..i {
+                f = d[j];
+                g = e[j];
+                let row = &mut z[j * n + j..j * n + i];
+                for ((zjk, &ek), &dk) in row.iter_mut().zip(&e[j..i]).zip(&d[j..i]) {
+                    *zjk -= f * ek + g * dk;
+                }
+                d[j] = z[j * n + i - 1];
+                z[j * n + i] = 0.0;
             }
         }
+        d[i] = h;
     }
-}
-
-/// Applies a set of pairwise-disjoint plane rotations on the right
-/// (`M ← M · J`), row by row. Rows are independent, so row blocks fan out
-/// across the pool when the pass is large enough to pay for dispatch.
-fn apply_plane_rotations(mat: &mut [f64], n: usize, rots: &[PlaneRot], allow_parallel: bool) {
-    let rotate_rows = |rows: &mut [f64]| {
-        for row in rows.chunks_mut(n) {
-            for r in rots {
-                let x = row[r.p];
-                let y = row[r.q];
-                row[r.p] = r.c * x - r.s * y;
-                row[r.q] = r.s * x + r.c * y;
+    // Accumulate the reflectors into Qᵀ, smallest block first.
+    for i in 0..n - 1 {
+        z[i * n + n - 1] = z[i * n + i];
+        z[i * n + i] = 1.0;
+        let h = d[i + 1];
+        let (head, tail) = z.split_at_mut((i + 1) * n);
+        let u = &mut tail[..=i];
+        if h != 0.0 {
+            for (dk, &uk) in d[..=i].iter_mut().zip(u.iter()) {
+                *dk = uk / h;
             }
-        }
-    };
-    let rows = mat.len() / n.max(1);
-    let threads = if allow_parallel { pass_threads(rows, rots.len()) } else { 1 };
-    if threads > 1 {
-        let rows_per_task = rows.div_ceil(threads);
-        mat.par_chunks_mut(rows_per_task * n).for_each(rotate_rows);
-        return;
-    }
-    rotate_rows(mat);
-}
-
-/// Applies disjoint plane rotations on the left (`M ← Jᵀ · M`): each
-/// rotation mixes exactly two whole rows — contiguous, vectorizable
-/// streams. In place; used on the serial path.
-fn left_apply_plane_rotations(mat: &mut [f64], n: usize, rots: &[PlaneRot]) {
-    for r in rots {
-        // r.p < r.q by construction, so the split lands between them.
-        let (head, tail) = mat.split_at_mut(r.q * n);
-        let row_p = &mut head[r.p * n..r.p * n + n];
-        let row_q = &mut tail[..n];
-        for (x, y) in row_p.iter_mut().zip(row_q.iter_mut()) {
-            let (xp, yq) = (*x, *y);
-            *x = r.c * xp - r.s * yq;
-            *y = r.s * xp + r.c * yq;
-        }
-    }
-}
-
-/// Per-row rotation lookup for the parallel left pass:
-/// row → (partner row, c, s, whether this row is the p side).
-type RowRotEntry = Option<(usize, f64, f64, bool)>;
-
-/// Parallel variant of [`left_apply_plane_rotations`]: output rows are
-/// produced out-of-place into `scratch` (each from at most two input rows,
-/// so row blocks are independent), then copied back. `row_rot` is a
-/// caller-owned buffer reused across rounds, like `scratch`.
-fn left_apply_plane_rotations_par(
-    mat: &mut [f64],
-    n: usize,
-    rots: &[PlaneRot],
-    scratch: &mut [f64],
-    row_rot: &mut Vec<RowRotEntry>,
-    threads: usize,
-) {
-    row_rot.clear();
-    row_rot.resize(n, None);
-    for r in rots {
-        row_rot[r.p] = Some((r.q, r.c, r.s, true));
-        row_rot[r.q] = Some((r.p, r.c, r.s, false));
-    }
-    let rows_per_task = n.div_ceil(threads);
-    let src: &[f64] = mat;
-    let row_rot: &[RowRotEntry] = row_rot;
-    scratch.par_chunks_mut(rows_per_task * n).enumerate().for_each(|(idx, chunk)| {
-        let row0 = idx * rows_per_task;
-        for (local, out_row) in chunk.chunks_mut(n).enumerate() {
-            let r = row0 + local;
-            let in_row = &src[r * n..r * n + n];
-            match row_rot[r] {
-                None => out_row.copy_from_slice(in_row),
-                Some((other, c, s, is_p)) => {
-                    let other_row = &src[other * n..other * n + n];
-                    if is_p {
-                        for ((o, &x), &y) in out_row.iter_mut().zip(in_row).zip(other_row) {
-                            *o = c * x - s * y;
-                        }
-                    } else {
-                        for ((o, &y), &x) in out_row.iter_mut().zip(in_row).zip(other_row) {
-                            *o = s * x + c * y;
-                        }
-                    }
+            for j in 0..=i {
+                let row = &mut head[j * n..j * n + i + 1];
+                let g: f64 = u.iter().zip(row.iter()).map(|(&uk, &zk)| uk * zk).sum();
+                for (zk, &dk) in row.iter_mut().zip(&d[..=i]) {
+                    *zk -= g * dk;
                 }
             }
         }
-    });
-    mat.copy_from_slice(scratch);
+        u.fill(0.0);
+    }
+    for (j, dj) in d.iter_mut().enumerate() {
+        *dj = z[j * n + n - 1];
+        z[j * n + n - 1] = 0.0;
+    }
+    z[(n - 1) * n + n - 1] = 1.0;
+    e[0] = 0.0;
 }
 
-/// Whether a rotation pass over `rows` rows is worth fanning out.
-fn pass_threads(rows: usize, nrots: usize) -> usize {
-    let threads = matmul_worker_threads();
-    if threads > 1 && rows * nrots * 2 >= PAR_PASS_MIN_ELEMS {
-        threads
-    } else {
-        1
+/// Implicit-shift QL on the tridiagonal `(d, e)` from [`tred2`] (EISPACK
+/// `tql2`), applying every rotation to the rows of `z = Qᵀ`. On exit `d`
+/// holds the eigenvalues (unsorted) and row `j` of `z` the eigenvector of
+/// `d[j]`.
+fn tql2(z: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) -> Result<()> {
+    e.copy_within(1.., 0);
+    e[n - 1] = 0.0;
+    let mut f = 0.0_f64;
+    let mut tst1 = 0.0_f64;
+    for l in 0..n {
+        // Find the first negligible subdiagonal element at or after l.
+        tst1 = tst1.max(d[l].abs() + e[l].abs());
+        let m = (l..n).find(|&m| e[m].abs() <= f64::EPSILON * tst1).unwrap_or(n - 1);
+        if m > l {
+            let mut iter = 0;
+            loop {
+                iter += 1;
+                if iter > MAX_QL_ITERS {
+                    return Err(LinalgError::NoConvergence {
+                        solver: "implicit QL eigensolver",
+                        sweeps: MAX_QL_ITERS,
+                    });
+                }
+                // Implicit shift from the leading 2×2 block.
+                let mut g = d[l];
+                let mut p = (d[l + 1] - g) / (2.0 * e[l]);
+                let mut r = p.hypot(1.0);
+                if p < 0.0 {
+                    r = -r;
+                }
+                d[l] = e[l] / (p + r);
+                d[l + 1] = e[l] * (p + r);
+                let dl1 = d[l + 1];
+                let mut h = g - d[l];
+                for di in &mut d[l + 2..] {
+                    *di -= h;
+                }
+                f += h;
+                // Chase the bulge from m back up to l.
+                p = d[m];
+                let (mut c, mut c2, mut c3) = (1.0_f64, 1.0_f64, 1.0_f64);
+                let el1 = e[l + 1];
+                let (mut s, mut s2) = (0.0_f64, 0.0_f64);
+                for i in (l..m).rev() {
+                    c3 = c2;
+                    c2 = c;
+                    s2 = s;
+                    g = c * e[i];
+                    h = c * p;
+                    r = p.hypot(e[i]);
+                    e[i + 1] = s * r;
+                    s = e[i] / r;
+                    c = p / r;
+                    p = c * d[i] - s * g;
+                    d[i + 1] = h + s * (c * g + s * d[i]);
+                    let (head, tail) = z.split_at_mut((i + 1) * n);
+                    let zi = &mut head[i * n..];
+                    for (x, y) in zi.iter_mut().zip(&mut tail[..n]) {
+                        let hy = *y;
+                        *y = s * *x + c * hy;
+                        *x = c * *x - s * hy;
+                    }
+                }
+                p = -s * s2 * c3 * el1 * e[l] / dl1;
+                e[l] = s * p;
+                d[l] = c * p;
+                if e[l].abs() <= f64::EPSILON * tst1 {
+                    break;
+                }
+            }
+        }
+        d[l] += f;
+        e[l] = 0.0;
     }
-}
-
-/// One full sweep as `n - 1` tournament rounds of disjoint rotations.
-///
-/// Each round's rotations commute (no two touch the same index), so the
-/// whole round is one orthogonal similarity `A ← JᵀAJ` with `J` the product
-/// of its rotations, applied as a right pass (`C = A·J`; two elements per
-/// row per rotation, rows independent) followed by a left pass
-/// (`A' = Jᵀ·C`; two whole rows per rotation, pairs disjoint) — both pure
-/// row-major streaming, no strided column walks. `V` accumulates `V ← V·J`
-/// with the same right pass. With enough work, each pass fans out across
-/// rayon's persistent pool.
-fn round_robin_sweep(
-    a: &mut [f64],
-    v: &mut [f64],
-    n: usize,
-    tol: f64,
-    scratch: &mut Vec<f64>,
-    allow_parallel: bool,
-) {
-    // Tournament (circle-method) schedule over n players, padded to even
-    // with a bye; n-1 rounds cover every unordered pair exactly once.
-    let np = n + (n & 1);
-    let mut ring: Vec<usize> = (0..np).collect();
-    let mut rots: Vec<PlaneRot> = Vec::with_capacity(np / 2);
-    let mut row_rot: Vec<RowRotEntry> = Vec::new();
-    for _round in 0..np - 1 {
-        rots.clear();
-        for i in 0..np / 2 {
-            let (mut p, mut q) = (ring[i], ring[np - 1 - i]);
-            if p > q {
-                std::mem::swap(&mut p, &mut q);
-            }
-            if q >= n {
-                continue; // bye slot on odd n
-            }
-            // Disjointness keeps every pair's pivot block untouched by the
-            // rest of the round, so round-start values are current values.
-            if let Some(rot) = plane_rotation(a, n, p, q, tol) {
-                rots.push(rot);
-            }
-        }
-        if !rots.is_empty() {
-            // C = A·J …
-            apply_plane_rotations(a, n, &rots, allow_parallel);
-            // … then A' = Jᵀ·C.
-            let threads = if allow_parallel { pass_threads(n, rots.len()) } else { 1 };
-            // Unlike the in-place serial pass (2·n elements per rotation),
-            // the out-of-place parallel pass streams the full n² matrix —
-            // untouched rows are copied — plus an n² copy back. Only fan
-            // out when the serial row-pair work split across threads still
-            // exceeds that fixed traffic, i.e. when most rows of the round
-            // carry a rotation; late sweeps with few surviving rotations
-            // stay serial.
-            let threads = if rots.len() * threads >= n { threads } else { 1 };
-            if threads > 1 {
-                scratch.resize(n * n, 0.0);
-                left_apply_plane_rotations_par(a, n, &rots, scratch, &mut row_rot, threads);
-            } else {
-                left_apply_plane_rotations(a, n, &rots);
-            }
-            // V = V·J.
-            apply_plane_rotations(v, n, &rots, allow_parallel);
-        }
-        // Advance the schedule: hold ring[0], rotate the rest one step.
-        let last = ring[np - 1];
-        for idx in (2..np).rev() {
-            ring[idx] = ring[idx - 1];
-        }
-        ring[1] = last;
-    }
-}
-
-fn finish(a: &[f64], v: Vec<f64>, n: usize) -> (Vec<f64>, Vec<f64>) {
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| a[j * n + j].partial_cmp(&a[i * n + i]).expect("NaN eigenvalue"));
-    let values: Vec<f64> = order.iter().map(|&i| a[i * n + i]).collect();
-    let mut vectors = vec![0.0_f64; n * n];
-    for (new_col, &old_col) in order.iter().enumerate() {
-        for row in 0..n {
-            vectors[row * n + new_col] = v[row * n + old_col];
-        }
-    }
-    (values, vectors)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -444,6 +309,17 @@ mod tests {
 
     fn mat(rows: &[&[f32]]) -> Matrix {
         Matrix::from_rows(rows)
+    }
+
+    /// Asserts `VᵀV = I` entry by entry within `tol`.
+    fn assert_orthonormal(v: &Matrix, tol: f32) {
+        let vtv = v.matmul_tn(v);
+        for i in 0..vtv.rows() {
+            for j in 0..vtv.cols() {
+                let expect = if i == j { 1.0 } else { 0.0 };
+                assert!((vtv[(i, j)] - expect).abs() < tol, "V'V[{i},{j}]={}", vtv[(i, j)]);
+            }
+        }
     }
 
     #[test]
@@ -469,6 +345,94 @@ mod tests {
     }
 
     #[test]
+    fn two_by_two_equal_diagonal() {
+        // Equal diagonal makes the first shift's p exactly zero.
+        let a = mat(&[&[3.0, -2.0], &[-2.0, 3.0]]);
+        let e = sym_eig(&a).unwrap();
+        assert!((e.values[0] - 5.0).abs() < 1e-12);
+        assert!((e.values[1] - 1.0).abs() < 1e-12);
+        // λ=5 ↔ (1,−1)/√2, λ=1 ↔ (1,1)/√2, up to sign.
+        let (v0, v1) = (e.vectors.col(0), e.vectors.col(1));
+        assert!((v0[0] + v0[1]).abs() < 1e-6 && (v1[0] - v1[1]).abs() < 1e-6);
+        assert!((v0[0].abs() - std::f32::consts::FRAC_1_SQRT_2).abs() < 1e-6);
+        assert_orthonormal(&e.vectors, 1e-6);
+    }
+
+    #[test]
+    fn identity_has_one_repeated_eigenvalue() {
+        let n = 7;
+        let e = sym_eig(&Matrix::identity(n)).unwrap();
+        assert!(e.values.iter().all(|&v| (v - 1.0).abs() < 1e-15), "{:?}", e.values);
+        assert_orthonormal(&e.vectors, 1e-7);
+    }
+
+    #[test]
+    fn zero_trailing_block_skips_reflectors() {
+        // The trailing rows are zero, so the reduction's first steps see a
+        // zero scale and must skip the reflector, not divide by it.
+        let n = 6;
+        let a = Matrix::from_fn(n, n, |i, j| match (i, j) {
+            (0, 0) => 4.0,
+            (1, 1) => 2.0,
+            (0, 1) | (1, 0) => 1.0,
+            (2, 2) => -1.0,
+            _ => 0.0,
+        });
+        let e = sym_eig(&a).unwrap();
+        // [[4,1],[1,2]] has eigenvalues 3 ± √2; then −1 and three zeros.
+        let root2 = 2.0_f64.sqrt();
+        let expect = [3.0 + root2, 3.0 - root2, 0.0, 0.0, 0.0, -1.0];
+        for (got, want) in e.values.iter().zip(expect) {
+            assert!((got - want).abs() < 1e-12, "{:?} vs {expect:?}", e.values);
+        }
+        assert_orthonormal(&e.vectors, 1e-6);
+        assert!(a.relative_error(&e.reconstruct()) < 1e-12);
+    }
+
+    #[test]
+    fn tridiagonal_input_matches_closed_form_spectrum() {
+        // tridiag(−1, 2, −1) of order n: λ_k = 2 − 2·cos(kπ/(n+1)).
+        let n = 40;
+        let a = Matrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
+            0 => 2.0,
+            1 => -1.0,
+            _ => 0.0,
+        });
+        let e = sym_eig(&a).unwrap();
+        let h = std::f64::consts::PI / (n + 1) as f64;
+        for (idx, &got) in e.values.iter().enumerate() {
+            let k = (n - idx) as f64;
+            let want = 2.0 - 2.0 * (k * h).cos();
+            assert!((got - want).abs() < 1e-13, "λ_{k}: {got} vs {want}");
+        }
+        assert_orthonormal(&e.vectors, 1e-5);
+    }
+
+    #[test]
+    fn entries_spanning_sixteen_decades() {
+        // Three decoupled 2×2 blocks [[a, b], [b, a]] (eigenvalues a ± b) at
+        // scales 1e8, 1 and 1e-8, interleaved so the reduction mixes them.
+        let blocks = [(0, 5, 1.0e8_f32, 3.0e7_f32), (1, 4, 1.0, 0.5), (2, 3, 4.0e-8, 1.0e-8)];
+        let mut a = Matrix::zeros(6, 6);
+        let mut expect = Vec::new();
+        for &(p, q, diag, off) in &blocks {
+            a[(p, p)] = diag;
+            a[(q, q)] = diag;
+            a[(p, q)] = off;
+            a[(q, p)] = off;
+            expect.push(diag as f64 + off as f64);
+            expect.push(diag as f64 - off as f64);
+        }
+        expect.sort_by(|x, y| y.total_cmp(x));
+        let e = sym_eig(&a).unwrap();
+        let norm = a.frobenius_norm_sq().sqrt();
+        for (got, want) in e.values.iter().zip(&expect) {
+            assert!((got - want).abs() <= 1e-14 * norm, "{:?} vs {expect:?}", e.values);
+        }
+        assert_orthonormal(&e.vectors, 1e-6);
+    }
+
+    #[test]
     fn reconstruction_matches_input() {
         let a = mat(&[
             &[4.0, 1.0, -2.0, 0.5],
@@ -489,13 +453,7 @@ mod tests {
             0.5 * (x + y)
         });
         let e = sym_eig(&a).unwrap();
-        let vtv = e.vectors.matmul_tn(&e.vectors);
-        for i in 0..12 {
-            for j in 0..12 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((vtv[(i, j)] - expect).abs() < 1e-4, "V'V[{i},{j}]={}", vtv[(i, j)]);
-            }
-        }
+        assert_orthonormal(&e.vectors, 1e-4);
     }
 
     #[test]
@@ -545,8 +503,7 @@ mod tests {
         assert!(e0.values.is_empty());
     }
 
-    /// A well-conditioned symmetric test matrix big enough to take the
-    /// round-robin sweep path.
+    /// A well-conditioned dense symmetric test matrix of order `n`.
     fn large_symmetric(n: usize) -> Matrix {
         Matrix::from_fn(n, n, |i, j| {
             let x = ((i * 7 + j * 3) % 29) as f32 - 14.0;
@@ -558,8 +515,7 @@ mod tests {
 
     #[test]
     fn round_sweep_path_reconstructs_input() {
-        let n = ROUND_SWEEP_MIN_N + 16;
-        let a = large_symmetric(n);
+        let a = large_symmetric(80);
         let e = sym_eig(&a).unwrap();
         let r = e.reconstruct();
         assert!(a.relative_error(&r) < 1e-6, "relative error {}", a.relative_error(&r));
@@ -567,22 +523,13 @@ mod tests {
 
     #[test]
     fn round_sweep_path_gives_orthonormal_eigenvectors() {
-        let n = ROUND_SWEEP_MIN_N + 2;
-        let a = large_symmetric(n);
-        let e = sym_eig(&a).unwrap();
-        let vtv = e.vectors.matmul_tn(&e.vectors);
-        for i in 0..n {
-            for j in 0..n {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((vtv[(i, j)] - expect).abs() < 1e-4, "V'V[{i},{j}]={}", vtv[(i, j)]);
-            }
-        }
+        let e = sym_eig(&large_symmetric(66)).unwrap();
+        assert_orthonormal(&e.vectors, 1e-4);
     }
 
     #[test]
     fn round_sweep_path_handles_odd_order_with_bye() {
-        let n = ROUND_SWEEP_MIN_N + 3;
-        assert_eq!(n % 2, 1, "test meant to cover the odd-n bye slot");
+        let n = 67;
         let a = large_symmetric(n);
         let e = sym_eig(&a).unwrap();
         let trace: f64 = (0..n).map(|i| a[(i, i)] as f64).sum();
@@ -594,13 +541,9 @@ mod tests {
 
     #[test]
     fn round_sweep_matches_row_cyclic_spectrum_on_gram_matrix() {
-        // Same Gram matrix solved by both orderings: build it at a size on
-        // the round-sweep side, then compare against eigenvalues of the
-        // same matrix shrunk below the threshold... sizes differ, so
-        // instead pin the round-sweep spectrum against an independent
-        // invariant: eigenvalues of WᵀW are the squared singular values,
-        // whose sum is ‖W‖²_F.
-        let n = ROUND_SWEEP_MIN_N * 2;
+        // Eigenvalues of WᵀW are the squared singular values: non-negative,
+        // summing to ‖W‖²_F.
+        let n = 128;
         let w = Matrix::from_fn(3 * n, n, |i, j| ((i * 5 + j * 11) % 23) as f32 * 0.1 - 1.1);
         let gm = Matrix::from_f64_vec(n, n, &w.gram_f64());
         let e = sym_eig(&gm).unwrap();
@@ -610,6 +553,18 @@ mod tests {
         }
         let sum: f64 = e.values.iter().sum();
         assert!((sum - frob_sq).abs() <= 1e-8 * frob_sq, "Σλ = {sum} but ‖W‖²_F = {frob_sq}");
+    }
+
+    #[test]
+    fn order_500_reconstructs_and_is_orthonormal() {
+        // The order of LeNet fc1's Gram matrix, the largest PCA fit.
+        let a = large_symmetric(500);
+        let e = sym_eig(&a).unwrap();
+        assert!(a.relative_error(&e.reconstruct()) < 1e-6);
+        assert_orthonormal(&e.vectors, 1e-4);
+        for pair in e.values.windows(2) {
+            assert!(pair[0] >= pair[1]);
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Dense linear algebra for the [Group Scissor (DAC 2017)] reproduction:
 //! a row-major `f32` [`Matrix`] with cache-aware, thread-parallel matmul
-//! kernels, a cyclic-Jacobi symmetric eigensolver, a one-sided-Jacobi thin
-//! [`svd()`], [`Pca`] implementing the paper's Algorithm 1, and the
+//! kernels, a symmetric eigensolver (Householder tridiagonalization plus
+//! implicit-shift QL), a one-sided-Jacobi thin [`svd()`], [`Pca`]
+//! implementing the paper's Algorithm 1, and the
 //! [`LowRank`] factor container with the crossbar-area admissibility test of
 //! the paper's Eq. (2).
 //!
@@ -55,7 +56,7 @@ pub use quant::{
     QuantActivations, QuantMatrix, ScaleAxis,
 };
 
-pub use eig::{sym_eig, sym_eig_serial, SymEig};
+pub use eig::{sym_eig, SymEig};
 pub use lowrank::{max_beneficial_rank, LowRank};
 pub use pca::Pca;
 pub use svd::{svd, svd_serial, Svd};

@@ -100,7 +100,7 @@ impl Pca {
         for g in &mut gram {
             *g *= norm;
         }
-        let (mut values, vectors) = sym_eig_f64(&mut gram, m, true)?;
+        let (mut values, vectors) = sym_eig_f64(&mut gram, m)?;
         // Clamp tiny negative eigenvalues caused by floating-point round-off:
         // the Gram matrix is positive semidefinite by construction.
         for v in &mut values {

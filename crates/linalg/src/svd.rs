@@ -8,17 +8,16 @@
 //! # Sweep ordering and parallelism
 //!
 //! A sweep visits every unordered column pair once, as `m - 1` *tournament
-//! rounds* (the circle-method round-robin schedule, shared with the
-//! two-sided Jacobi in [`crate::sym_eig`]): each round rotates `⌊m/2⌋`
-//! pairwise-disjoint column pairs. Disjoint pairs touch no common data, so
-//! the pairs of one round can run in any order — or concurrently — without
-//! changing a single bit of the result: each pair's Givens angle and both
-//! rotated columns depend only on that pair's round-start values, and every
-//! per-pair dot product is a single accumulator running in ascending index
-//! order. The round order itself is fixed, so the serial path and the
-//! pool-parallel path (rounds fanned out over [`rayon::scope`] when big
-//! enough to pay for dispatch) are **bitwise identical** — the same
-//! contract the matmul kernels and the eigensolver keep, enforced by the
+//! rounds* (the circle-method round-robin schedule): each round rotates
+//! `⌊m/2⌋` pairwise-disjoint column pairs. Disjoint pairs touch no common
+//! data, so the pairs of one round can run in any order — or concurrently —
+//! without changing a single bit of the result: each pair's Givens angle
+//! and both rotated columns depend only on that pair's round-start values,
+//! and every per-pair dot product is a single accumulator running in
+//! ascending index order. The round order itself is fixed, so the serial
+//! path and the pool-parallel path (rounds fanned out over
+//! [`rayon::scope`] when big enough to pay for dispatch) are **bitwise
+//! identical** — the same contract the matmul kernels keep, enforced by the
 //! `spectral_agreement` proptests. [`svd_serial`] is the always-sequential
 //! reference entry point.
 

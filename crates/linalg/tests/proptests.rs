@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use scissor_linalg::{
-    max_beneficial_rank, svd, svd_serial, sym_eig, sym_eig_serial, LinalgError, LowRank, Matrix,
-    Pca,
+    max_beneficial_rank, svd, svd_serial, sym_eig, LinalgError, LowRank, Matrix, Pca,
 };
 
 /// Strategy: a matrix with bounded dimensions and entries in [-1, 1].
@@ -72,7 +71,7 @@ proptest! {
     #[test]
     fn sym_eig_reconstructs_and_is_orthonormal(m in square_matrix_strategy(10)) {
         let sym = m.add(&m.transpose()).map(|v| v * 0.5);
-        let e = sym_eig(&sym).expect("jacobi converges on small symmetric matrices");
+        let e = sym_eig(&sym).expect("QL converges on small symmetric matrices");
         // Reconstruction.
         let r = e.reconstruct();
         prop_assert!(sym.sub(&r).max_abs() < 1e-3);
@@ -105,6 +104,25 @@ proptest! {
         // Frobenius norm equals sqrt of sum of squared singular values.
         let from_sigma: f64 = d.sigma.iter().map(|s| s * s).sum::<f64>().sqrt();
         prop_assert!((m.frobenius_norm() - from_sigma).abs() < 1e-3);
+    }
+
+    /// The eigensolver against an independent algorithm: PCA's spectrum,
+    /// rescaled from covariance to Gram scale, is the squared singular
+    /// values of the one-sided Jacobi SVD (zero-padded when rows < cols).
+    #[test]
+    fn pca_spectrum_matches_squared_singular_values(m in matrix_strategy(40, 24)) {
+        let pca = Pca::fit(&m).expect("pca fit");
+        let d = svd(&m).expect("svd");
+        let scale = m.rows().saturating_sub(1).max(1) as f64;
+        let tol = 1e-9 * m.frobenius_norm_sq();
+        prop_assert_eq!(pca.eigenvalues().len(), m.cols());
+        for (k, &lam) in pca.eigenvalues().iter().enumerate() {
+            let sigma_sq = d.sigma.get(k).map_or(0.0, |s| s * s);
+            prop_assert!(
+                (lam * scale - sigma_sq).abs() <= tol,
+                "k={}: λ·(N−1) = {} but σ² = {}", k, lam * scale, sigma_sq
+            );
+        }
     }
 
     #[test]
@@ -162,10 +180,10 @@ proptest! {
 
 /// One non-finite off-diagonal pair in an otherwise well-conditioned
 /// symmetric matrix must be rejected with a typed error by every spectral
-/// entry point — not panic, burn the whole sweep budget, or converge on an
-/// infinite tolerance. Orders 20 and 100 cover the row-cyclic and the
-/// round-robin eigensolver paths; the wide slice covers the SVD's
-/// transpose path.
+/// entry point — not panic, burn the whole iteration budget, or converge on
+/// an infinite tolerance. Orders 20 and 100 put the SVD's tournament rounds
+/// below and above its pool fan-out threshold; the wide slice covers the
+/// SVD's transpose path.
 #[test]
 fn spectral_solvers_reject_non_finite_input() {
     for n in [20usize, 100] {
@@ -188,7 +206,6 @@ fn spectral_solvers_reject_non_finite_input() {
             assert!(non_finite(svd(&wide).map(drop)), "svd (wide), {ctx}");
             assert!(non_finite(svd_serial(&a).map(drop)), "svd_serial, {ctx}");
             assert!(non_finite(sym_eig(&a).map(drop)), "sym_eig, {ctx}");
-            assert!(non_finite(sym_eig_serial(&a).map(drop)), "sym_eig_serial, {ctx}");
             assert!(non_finite(Pca::fit(&a).map(drop)), "Pca::fit, {ctx}");
         }
     }

@@ -1,7 +1,6 @@
-//! Bitwise agreement between the default (pool-parallel) and serial
-//! spectral solvers: `svd` vs `svd_serial` and `sym_eig` vs
-//! `sym_eig_serial`. Disjoint tournament pairs plus single-accumulator
-//! per-pair dots make the parallel schedules *exactly* reproduce the serial
+//! Bitwise agreement between the default (pool-parallel) and serial SVD:
+//! `svd` vs `svd_serial`. Disjoint tournament pairs plus single-accumulator
+//! per-pair dots make the parallel schedule *exactly* reproduce the serial
 //! arithmetic, so every assertion here is exact bit equality — the same
 //! contract the matmul kernel variants keep.
 //!
@@ -10,7 +9,7 @@
 //! suite pins the degenerate single-worker pool.
 
 use proptest::prelude::*;
-use scissor_linalg::{svd, svd_serial, sym_eig, sym_eig_serial, Matrix};
+use scissor_linalg::{svd, svd_serial, Matrix};
 use std::sync::Once;
 
 /// Runs before any pool use (every test calls it first), so the lazily
@@ -46,23 +45,6 @@ fn matrix_strategy(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Ma
     })
 }
 
-/// A symmetric matrix (A + Aᵀ)/2 with a diagonal boost for conditioning.
-fn symmetric_strategy(max_n: usize) -> impl Strategy<Value = Matrix> {
-    (2..=max_n).prop_flat_map(|n| {
-        proptest::collection::vec(-1.0f32..1.0, n * n).prop_map(move |data| {
-            let raw = Matrix::from_vec(n, n, data).expect("sized by construction");
-            Matrix::from_fn(n, n, |i, j| {
-                let sym = 0.5 * (raw[(i, j)] + raw[(j, i)]);
-                if i == j {
-                    sym + n as f32
-                } else {
-                    sym
-                }
-            })
-        })
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -77,15 +59,6 @@ proptest! {
         assert_bits_eq(&par.u, &ser.u, "U");
         assert_bits_eq(&par.v, &ser.v, "V");
         assert_f64_bits_eq(&par.sigma, &ser.sigma, "sigma");
-    }
-
-    #[test]
-    fn sym_eig_matches_serial_bitwise(m in symmetric_strategy(48)) {
-        init();
-        let par = sym_eig(&m).expect("sym_eig");
-        let ser = sym_eig_serial(&m).expect("sym_eig_serial");
-        assert_bits_eq(&par.vectors, &ser.vectors, "V");
-        assert_f64_bits_eq(&par.values, &ser.values, "values");
     }
 }
 
@@ -120,23 +93,4 @@ fn svd_odd_width_bye_schedule_matches_serial_bitwise() {
     assert_bits_eq(&par.u, &ser.u, "U");
     assert_bits_eq(&par.v, &ser.v, "V");
     assert_f64_bits_eq(&par.sigma, &ser.sigma, "sigma");
-}
-
-#[test]
-fn sym_eig_round_sweep_matches_serial_bitwise() {
-    init();
-    // 128 and the odd 129 both sit on the round-robin path with passes big
-    // enough to fan out.
-    for n in [128usize, 129] {
-        let a = Matrix::from_fn(n, n, |i, j| {
-            let x = ((i * 7 + j * 3) % 29) as f32 - 14.0;
-            let y = ((j * 7 + i * 3) % 29) as f32 - 14.0;
-            let diag = if i == j { n as f32 } else { 0.0 };
-            0.25 * (x + y) + diag
-        });
-        let par = sym_eig(&a).expect("sym_eig");
-        let ser = sym_eig_serial(&a).expect("sym_eig_serial");
-        assert_bits_eq(&par.vectors, &ser.vectors, "V");
-        assert_f64_bits_eq(&par.values, &ser.values, "values");
-    }
 }

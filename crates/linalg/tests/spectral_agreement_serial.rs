@@ -1,10 +1,10 @@
 //! The threads = 1 leg of the spectral agreement contract: with a
-//! single-worker pool the fan-out gates all collapse to the inline path,
-//! and `svd`/`sym_eig` must still agree bitwise with their `_serial`
-//! reference entry points. Pool size is fixed per process, which is why
+//! single-worker pool the fan-out gate collapses to the inline path, and
+//! `svd` must still agree bitwise with its `svd_serial` reference entry
+//! point. Pool size is fixed per process, which is why
 //! this is a separate test binary from `spectral_agreement` (threads = 4).
 
-use scissor_linalg::{svd, svd_serial, sym_eig, sym_eig_serial, Matrix};
+use scissor_linalg::{svd, svd_serial, Matrix};
 use std::sync::Once;
 
 /// Runs before any pool use (every test calls it first), so the lazily
@@ -36,20 +36,4 @@ fn svd_single_thread_pool_matches_serial_bitwise() {
         assert_bits_eq(&par.v, &ser.v, "V");
         assert!(par.sigma.iter().zip(&ser.sigma).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
-}
-
-#[test]
-fn sym_eig_single_thread_pool_matches_serial_bitwise() {
-    init();
-    let n = 128;
-    let a = Matrix::from_fn(n, n, |i, j| {
-        let x = ((i * 7 + j * 3) % 29) as f32 - 14.0;
-        let y = ((j * 7 + i * 3) % 29) as f32 - 14.0;
-        let diag = if i == j { n as f32 } else { 0.0 };
-        0.25 * (x + y) + diag
-    });
-    let par = sym_eig(&a).expect("sym_eig");
-    let ser = sym_eig_serial(&a).expect("sym_eig_serial");
-    assert_bits_eq(&par.vectors, &ser.vectors, "V");
-    assert!(par.values.iter().zip(&ser.values).all(|(x, y)| x.to_bits() == y.to_bits()));
 }

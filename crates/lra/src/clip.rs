@@ -116,10 +116,12 @@ fn clip_step(net: &mut Network, cfg: &RankClipConfig) -> Result<bool> {
         if k_now <= 1 {
             continue;
         }
-        let k_hat = cfg.method.min_rank_for_error(&u, cfg.eps)?.max(1);
+        // One fit serves both the rank search and the factor split.
+        let fit = cfg.method.fit(&u)?;
+        let k_hat = fit.min_rank_for_error(cfg.eps).max(1);
         if k_hat < k_now {
             // U ≈ Û·V̂ᵀ  ⇒  W ≈ Û·(V·V̂)ᵀ
-            let (u_hat, v_hat) = cfg.method.factorize(&u, k_hat)?;
+            let (u_hat, v_hat) = fit.factors(&u, k_hat)?;
             let v_new = v.matmul(&v_hat);
             let layer =
                 net.layer_mut(name).ok_or_else(|| LraError::UnknownLayer { name: name.clone() })?;

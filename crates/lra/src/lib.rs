@@ -13,7 +13,8 @@
 //!
 //! Provided here:
 //!
-//! * [`LraMethod`] — PCA / SVD back-ends;
+//! * [`LraMethod`] — PCA / SVD back-ends, and [`LraFit`], one fit that
+//!   serves both the rank search and the factor split;
 //! * [`convert`] — network surgery (full-rank conversion, the Direct-LRA
 //!   baseline of Table 1);
 //! * [`rank_clip`] — Algorithm 2, with per-clip-step traces (Fig. 3).
@@ -32,4 +33,4 @@ mod method;
 pub use clip::{rank_clip, ClipRecord, RankClipConfig, RankClipOutcome};
 pub use convert::{direct_lra, factorize_layer, layer_kind, layer_rank, to_full_rank, LayerKind};
 pub use error::{LraError, Result};
-pub use method::LraMethod;
+pub use method::{LraFit, LraMethod};

@@ -4,7 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use scissor_linalg::{svd, LinalgError, Matrix, Pca};
+use scissor_linalg::{svd, LinalgError, Matrix, Pca, Svd};
 
 /// Which LRA technique rank clipping uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -16,18 +16,63 @@ pub enum LraMethod {
     Svd,
 }
 
+/// One matrix fitted by an [`LraMethod`]: the rank search and the factor
+/// split both read it, so a caller that needs both solves the spectrum once.
+#[derive(Debug, Clone)]
+pub enum LraFit {
+    /// A PCA fit (Algorithm 1).
+    Pca(Pca),
+    /// A thin SVD.
+    Svd(Svd),
+}
+
+impl LraFit {
+    /// Smallest rank whose reconstruction error (Eq. 3) is at most `eps`.
+    pub fn min_rank_for_error(&self, eps: f64) -> usize {
+        match self {
+            LraFit::Pca(pca) => pca.min_rank_for_error(eps),
+            LraFit::Svd(d) => d.min_rank_for_error(eps),
+        }
+    }
+
+    /// Rank-`k` factor pair `(U, V)` with `w ≈ U·Vᵀ`, where `w` is the
+    /// matrix this was fitted on. An SVD clamps `k` to its singular value
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::InvalidRank`] when `k` exceeds a PCA fit's
+    /// component count.
+    pub fn factors(&self, w: &Matrix, k: usize) -> Result<(Matrix, Matrix), LinalgError> {
+        match self {
+            LraFit::Pca(pca) => pca.factors(w, k),
+            LraFit::Svd(d) => d.factors(k.min(d.sigma.len())),
+        }
+    }
+}
+
 impl LraMethod {
+    /// Fits `w` once (PCA or SVD).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::NonFinite`] for a NaN or infinite entry, and
+    /// propagates solver convergence failures (not observed for finite
+    /// layer-sized inputs).
+    pub fn fit(&self, w: &Matrix) -> Result<LraFit, LinalgError> {
+        Ok(match self {
+            LraMethod::Pca => LraFit::Pca(Pca::fit(w)?),
+            LraMethod::Svd => LraFit::Svd(svd(w)?),
+        })
+    }
+
     /// Smallest rank whose reconstruction error (Eq. 3) is at most `eps`.
     ///
     /// # Errors
     ///
-    /// Propagates solver convergence failures (not observed for finite
-    /// layer-sized inputs).
+    /// As [`LraMethod::fit`].
     pub fn min_rank_for_error(&self, w: &Matrix, eps: f64) -> Result<usize, LinalgError> {
-        match self {
-            LraMethod::Pca => Ok(Pca::fit(w)?.min_rank_for_error(eps)),
-            LraMethod::Svd => Ok(svd(w)?.min_rank_for_error(eps)),
-        }
+        Ok(self.fit(w)?.min_rank_for_error(eps))
     }
 
     /// Rank-`k` factor pair `(U, V)` with `w ≈ U·Vᵀ`.
@@ -35,39 +80,22 @@ impl LraMethod {
     /// # Errors
     ///
     /// Returns [`LinalgError::InvalidRank`] when `k` exceeds the matrix's
-    /// column count, or a convergence failure from the solver.
+    /// column count, or a failure from [`LraMethod::fit`].
     pub fn factorize(&self, w: &Matrix, k: usize) -> Result<(Matrix, Matrix), LinalgError> {
-        match self {
-            LraMethod::Pca => Pca::fit(w)?.factors(w, k),
-            LraMethod::Svd => {
-                let d = svd(w)?;
-                let k = k.min(d.sigma.len());
-                d.factors(k)
-            }
-        }
+        self.fit(w)?.factors(w, k)
     }
 
-    /// Both of the above in one pass: picks the minimum rank for `eps` and
+    /// Both of the above from one fit: picks the minimum rank for `eps` and
     /// returns `(rank, U, V)`.
     ///
     /// # Errors
     ///
-    /// Propagates solver failures.
+    /// As [`LraMethod::fit`].
     pub fn clip(&self, w: &Matrix, eps: f64) -> Result<(usize, Matrix, Matrix), LinalgError> {
-        match self {
-            LraMethod::Pca => {
-                let pca = Pca::fit(w)?;
-                let k = pca.min_rank_for_error(eps);
-                let (u, v) = pca.factors(w, k)?;
-                Ok((k, u, v))
-            }
-            LraMethod::Svd => {
-                let d = svd(w)?;
-                let k = d.min_rank_for_error(eps);
-                let (u, v) = d.factors(k)?;
-                Ok((k, u, v))
-            }
-        }
+        let fit = self.fit(w)?;
+        let k = fit.min_rank_for_error(eps);
+        let (u, v) = fit.factors(w, k)?;
+        Ok((k, u, v))
     }
 }
 
@@ -105,6 +133,28 @@ mod tests {
             assert!(k <= 6);
             let err = w.relative_error(&u.matmul_nt(&v));
             assert!(err <= 0.05 + 1e-6, "{method}: err {err}");
+        }
+    }
+
+    #[test]
+    fn one_fit_matches_the_two_call_path_bitwise() {
+        // A rank-5 signal plus a small full-rank tail, so each eps picks a
+        // different rank below full.
+        let w = low_rank_matrix(48, 20, 5)
+            .add(&Matrix::from_fn(48, 20, |i, j| ((i * 7 + j * 3) % 5) as f32 * 0.01));
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for method in [LraMethod::Pca, LraMethod::Svd] {
+            for eps in [1e-4, 0.01, 0.1] {
+                let fit = method.fit(&w).unwrap();
+                let k = fit.min_rank_for_error(eps).max(1);
+                let (u, v) = fit.factors(&w, k).unwrap();
+                let k2 = method.min_rank_for_error(&w, eps).unwrap().max(1);
+                let (u2, v2) = method.factorize(&w, k2).unwrap();
+                assert_eq!(k, k2, "{method}, eps {eps}");
+                assert!(k < 20, "{method}, eps {eps}: rank {k} is not a clip");
+                assert_eq!(bits(&u), bits(&u2), "{method}, eps {eps}: U");
+                assert_eq!(bits(&v), bits(&v2), "{method}, eps {eps}: V");
+            }
         }
     }
 

@@ -1,55 +1,21 @@
 //! Proves the compiled plan's warm-path claim: after a warm-up pass,
 //! `CompiledNet::infer_into` performs **zero heap allocation**.
 //!
-//! A counting global allocator wraps the system one; the network is sized
-//! so every matmul stays below `PARALLEL_FLOP_THRESHOLD` (the rayon pool's
-//! job dispatch is the one legitimate allocator user on larger shapes, and
-//! it is bypassed below the threshold — this keeps the assertion exact on
+//! A global allocator wraps the system one and counts each thread's
+//! allocations; the network is sized so every matmul stays below
+//! `PARALLEL_FLOP_THRESHOLD` (the rayon pool's job dispatch is the one
+//! legitimate allocator user on larger shapes, and it is bypassed below the
+//! threshold — each window checks that, which keeps the assertion exact on
 //! any host core count).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod alloc_counter;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use alloc_counter::{Window, SERIAL};
 use scissor_nn::{InferScratch, NetworkBuilder, Tensor4, TileConfig};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-/// The counter is process-global and the harness runs this binary's tests
-/// on concurrent threads; each test holds this lock across its whole body
-/// so another test's setup allocations cannot land inside a measurement
-/// window.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-// ordering: Relaxed — audit downgrade from SeqCst: the measured paths run
-// on the thread that reads the before/after counts (SERIAL serializes the
-// tests and the shapes stay below the parallel dispatch threshold), so
-// program order alone makes the deltas exact; no cross-thread edge — let
-// alone a total order — is needed.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn warm_compiled_forward_allocates_nothing() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -77,14 +43,13 @@ fn warm_compiled_forward_allocates_nothing() {
     let warm = plan.infer_into(&x, &mut scratch).as_slice().to_vec();
     let _ = plan.infer_into(&x, &mut scratch);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let window = Window::open();
     let logits = plan.infer_into(&x, &mut scratch);
     assert_eq!(logits.as_slice(), warm.as_slice(), "warm passes must agree");
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "warm compiled forward must not allocate");
+    let allocations = window.close();
+    assert_eq!(allocations, 0, "warm compiled forward must not allocate");
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn warm_scratch_makes_the_first_real_pass_allocation_free() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -108,11 +73,11 @@ fn warm_scratch_makes_the_first_real_pass_allocation_free() {
             6,
             (0..batch * 36).map(|i| ((i * 3 + 2) % 19) as f32 * 0.1 - 0.9).collect(),
         );
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let window = Window::open();
         let logits = plan.infer_into(&x, &mut scratch);
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let allocations = window.close();
         assert_eq!(logits.as_slice().len(), batch * 4);
-        assert_eq!(after - before, 0, "warmed scratch pass (batch {batch}) must not allocate");
+        assert_eq!(allocations, 0, "warmed scratch pass (batch {batch}) must not allocate");
     }
     // And the result matches a cold-scratch pass bitwise.
     let x = Tensor4::from_vec(
@@ -127,7 +92,6 @@ fn warm_scratch_makes_the_first_real_pass_allocation_free() {
     assert_eq!(warm.as_slice(), cold.as_slice());
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn tiled_warm_forward_allocates_nothing() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -151,11 +115,11 @@ fn tiled_warm_forward_allocates_nothing() {
             6,
             (0..batch * 36).map(|i| ((i * 7 + 5) % 23) as f32 * 0.1 - 1.0).collect(),
         );
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let window = Window::open();
         let logits = plan.infer_into(&x, &mut scratch);
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let allocations = window.close();
         assert_eq!(logits.shape(), (batch, 4));
-        assert_eq!(after - before, 0, "warm tiled forward (batch {batch}) must not allocate");
+        assert_eq!(allocations, 0, "warm tiled forward (batch {batch}) must not allocate");
     }
     // And tiled output equals the untiled pass bitwise.
     let x = Tensor4::from_vec(
@@ -171,7 +135,6 @@ fn tiled_warm_forward_allocates_nothing() {
     assert_eq!(tiled.as_slice(), untiled.as_slice());
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn evaluate_chunks_add_no_allocations_beyond_warmup() {
     // Regression for the eval path's per-chunk `Vec<usize>` index +
@@ -198,9 +161,9 @@ fn evaluate_chunks_add_no_allocations_beyond_warmup() {
             (0..n * 36).map(|i| ((i * 11 + 3) % 29) as f32 * 0.1 - 1.2).collect(),
         );
         let labels: Vec<usize> = (0..n).map(|i| i % 4).collect();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let window = Window::open();
         let _ = plan.evaluate(&x, &labels, batch);
-        ALLOCATIONS.load(Ordering::Relaxed) - before
+        window.close()
     };
     let one_chunk = count_eval(batch);
     let six_chunks = count_eval(6 * batch);
@@ -210,7 +173,6 @@ fn evaluate_chunks_add_no_allocations_beyond_warmup() {
     );
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn predict_into_is_allocation_free_when_warm() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -231,15 +193,14 @@ fn predict_into_is_allocation_free_when_warm() {
     );
     let mut scratch = plan.warm_scratch(batch);
     let mut preds = Vec::with_capacity(batch);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let window = Window::open();
     plan.predict_into(x.batch_range(0..batch), &mut scratch, &mut preds);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocations = window.close();
     assert_eq!(preds.len(), batch);
-    assert_eq!(after - before, 0, "warm predict_into must not allocate");
+    assert_eq!(allocations, 0, "warm predict_into must not allocate");
     assert_eq!(preds, plan.predict(&x, &mut scratch), "into-variant matches the convenience path");
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn smaller_batches_through_a_warm_scratch_allocate_nothing() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -255,9 +216,9 @@ fn smaller_batches_through_a_warm_scratch_allocate_nothing() {
     let mut scratch = InferScratch::new();
     let _ = plan.infer_into(&big, &mut scratch);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let window = Window::open();
     let _ = plan.infer_into(&small, &mut scratch);
     let _ = plan.infer_into(&big, &mut scratch);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "shrink/regrow within warmed capacity must not allocate");
+    let allocations = window.close();
+    assert_eq!(allocations, 0, "shrink/regrow within warmed capacity must not allocate");
 }

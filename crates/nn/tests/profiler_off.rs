@@ -5,53 +5,20 @@
 //! warm path must stay allocation-free (recording is relaxed atomics into
 //! slots preallocated at `enable_profiling` time).
 //!
-//! Same counting-allocator setup as `no_alloc_infer.rs`: the network is
-//! sized below `PARALLEL_FLOP_THRESHOLD` so the rayon pool's job dispatch
-//! (the one legitimate allocator user) is bypassed and the assertions are
-//! exact on any host.
+//! Same per-thread counting allocator as `no_alloc_infer.rs`: the network
+//! is sized below `PARALLEL_FLOP_THRESHOLD` so the rayon pool's job
+//! dispatch (the one legitimate allocator user) is bypassed, each window
+//! checks that, and the assertions are exact on any host.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod alloc_counter;
+
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use alloc_counter::{Window, SERIAL};
 use scissor_nn::{CompiledNet, InferScratch, NetworkBuilder, Tensor4};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-/// The counter is process-global and the harness runs this binary's tests
-/// on concurrent threads; each test holds this lock across its whole body
-/// so another test's setup allocations cannot land inside a measurement
-/// window.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-// ordering: Relaxed — audit downgrade from SeqCst: the measured paths run
-// on the thread that reads the before/after counts (SERIAL serializes the
-// tests and the shapes stay below the parallel dispatch threshold), so
-// program order alone makes the deltas exact; no cross-thread edge — let
-// alone a total order — is needed.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn tiny_plan(seed: u64) -> CompiledNet {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -75,7 +42,6 @@ fn input(batch: usize) -> Tensor4 {
     )
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn warm_forward_with_profiling_never_enabled_allocates_nothing() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -84,15 +50,14 @@ fn warm_forward_with_profiling_never_enabled_allocates_nothing() {
     assert!(plan.profiler().is_none(), "no profiler is even built until enabled");
     let x = input(4);
     let mut scratch = plan.warm_scratch(4);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let window = Window::open();
     for _ in 0..8 {
         let _ = plan.infer_into(&x, &mut scratch);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "profiling-off warm forwards must not allocate");
+    let allocations = window.close();
+    assert_eq!(allocations, 0, "profiling-off warm forwards must not allocate");
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn warm_forward_after_enable_then_disable_allocates_nothing() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -103,12 +68,12 @@ fn warm_forward_after_enable_then_disable_allocates_nothing() {
     let x = input(4);
     let mut scratch = plan.warm_scratch(4);
     let forwards_before = profiler.snapshot().forwards;
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let window = Window::open();
     for _ in 0..8 {
         let _ = plan.infer_into(&x, &mut scratch);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "disabled-after-enable warm forwards must not allocate");
+    let allocations = window.close();
+    assert_eq!(allocations, 0, "disabled-after-enable warm forwards must not allocate");
     assert_eq!(
         profiler.snapshot().forwards,
         forwards_before,
@@ -116,7 +81,6 @@ fn warm_forward_after_enable_then_disable_allocates_nothing() {
     );
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn warm_forward_with_profiling_enabled_allocates_nothing() {
     // The *enabled* path's claim: recording is relaxed atomics into
@@ -127,16 +91,15 @@ fn warm_forward_with_profiling_enabled_allocates_nothing() {
     let x = input(4);
     let mut scratch = plan.warm_scratch(4);
     let _ = plan.infer_into(&x, &mut scratch);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let window = Window::open();
     for _ in 0..8 {
         let _ = plan.infer_into(&x, &mut scratch);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "profiling-on warm forwards must not allocate");
+    let allocations = window.close();
+    assert_eq!(allocations, 0, "profiling-on warm forwards must not allocate");
     assert!(profiler.snapshot().forwards >= 8);
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn profiler_counts_match_the_plan() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -172,7 +135,6 @@ fn profiler_counts_match_the_plan() {
     assert_eq!(profiler.snapshot().forwards, 0);
 }
 
-// ordering: Relaxed — same-thread counter delta; see `CountingAlloc`.
 #[test]
 fn disabled_profiling_adds_no_measurable_per_step_cost() {
     // Timing guard for the one-relaxed-load claim. Min-over-rounds is the
