@@ -5,9 +5,8 @@
 //!
 //! Three sections:
 //!
-//! 1. spectral kernels — `svd` (pool-parallel tournament) vs `svd_serial`
-//!    at the 200×64 bench shape, PCA at the common clipping shapes, and the
-//!    fused low-rank reconstruction;
+//! 1. spectral kernels — `svd` at the 200×64 bench shape, PCA at the
+//!    common clipping shapes, and the fused low-rank reconstruction;
 //! 2. solo pipelines — micro-budget `train→clip→prune→compile` per model
 //!    (LeNet clips with PCA, ConvNet with SVD), each run alone;
 //! 3. concurrent pipelines — the same two runs in flight at once on the
@@ -29,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scissor_lra::LraMethod;
 
-use scissor_linalg::{svd, svd_serial, Matrix, Pca};
+use scissor_linalg::{svd, Matrix, Pca};
 
 fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -94,8 +93,7 @@ fn spectral_section() {
     // One unmeasured decomposition absorbs process warmup (page faults,
     // allocator growth) so the first-timed kernel isn't penalized.
     std::hint::black_box(svd(&w).expect("warmup"));
-    let par = median_time(5, || svd(&w).expect("svd"));
-    let ser = median_time(5, || svd_serial(&w).expect("svd_serial"));
+    let svd_time = median_time(5, || svd(&w).expect("svd"));
     let decomp = svd(&w).expect("svd");
     let recon = median_time(20, || decomp.reconstruct(16));
     let pca = {
@@ -103,8 +101,7 @@ fn spectral_section() {
         median_time(5, || Pca::fit(&w).expect("fit"))
     };
     let rows = vec![
-        vec!["svd_200x64 (pool)".into(), ms(par)],
-        vec!["svd_200x64 (serial)".into(), ms(ser)],
+        vec!["svd_200x64".into(), ms(svd_time)],
         vec!["svd_reconstruct_k16 (fused)".into(), ms(recon)],
         vec!["pca_conv2_500x50".into(), ms(pca)],
     ];

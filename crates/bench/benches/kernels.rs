@@ -1,15 +1,18 @@
 //! Criterion micro-benchmarks of the computational kernels underlying the
-//! reproduction: matmul at layer shapes, im2col, the spectral solvers, the
-//! group-lasso gradient and the hardware analyses.
+//! reproduction: matmul at layer shapes, im2col/col2im, one whole training
+//! step per benchmark model, the spectral solvers, the group-lasso gradient
+//! and the hardware analyses.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
+use group_scissor::ModelKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scissor_linalg::{svd, Matrix, Pca};
 use scissor_ncs::{CrossbarSpec, GroupPartition, RoutingAnalysis, Tiling};
-use scissor_nn::im2col::im2col;
-use scissor_nn::Tensor4;
+use scissor_nn::im2col::{col2im, im2col};
+use scissor_nn::layers::{Conv2d, Linear};
+use scissor_nn::{Layer, Network, Sgd, Tensor4};
 
 fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -45,6 +48,17 @@ fn bench_matmul(c: &mut Criterion) {
     });
     g.bench_function("conv2_wgrad_tn_scalar_blocked", |bench| {
         bench.iter(|| a.matmul_tn_scalar(&gout));
+    });
+    // ConvNet conv2's input gradient at batch 16: dcols = g·Wᵀ with
+    // g 4096×32 and W 800×32 — `matmul_nt` (transpose + tiled kernel)
+    // beside the dot-product reference it equals bit for bit.
+    let g16 = rand_matrix(4096, 32, 6);
+    let w2 = rand_matrix(800, 32, 7);
+    g.bench_function("convnet_conv2_dcols_nt_4096x32x800", |bench| {
+        bench.iter(|| g16.matmul_nt(&w2));
+    });
+    g.bench_function("convnet_conv2_dcols_nt_scalar", |bench| {
+        bench.iter(|| g16.matmul_nt_scalar(&w2));
     });
     g.finish();
 }
@@ -100,6 +114,58 @@ fn bench_im2col(c: &mut Criterion) {
     g.bench_function("convnet_conv2_b32", |bench| {
         bench.iter(|| im2col(&convnet_in, 5, 5, 1, 2));
     });
+    g.finish();
+    // The adjoint at ConvNet conv2's training batch of 16.
+    let mut g = c.benchmark_group("col2im");
+    let dcols = rand_matrix(16 * 16 * 16, 32 * 5 * 5, 10);
+    g.bench_function("convnet_conv2_b16", |bench| {
+        bench.iter(|| col2im(&dcols, (16, 32, 16, 16), 5, 5, 1, 2));
+    });
+    g.finish();
+}
+
+/// A benchmark model, dense or with its clip layers factored at `ranks`
+/// (random factors: the step's cost depends only on the shapes).
+fn model(kind: ModelKind, ranks: Option<[usize; 3]>) -> Network {
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut net = kind.build(&mut rng);
+    for (name, k) in kind.clip_layers().iter().zip(ranks.into_iter().flatten()) {
+        let layer = net.layer(name).expect("clip layer");
+        let (fan_in, fan_out) = layer.weight_matrix().expect("dense weight").shape();
+        let u = Matrix::random_uniform(fan_in, k, 0.1, &mut rng);
+        let v = Matrix::random_uniform(fan_out, k, 0.1, &mut rng);
+        let any = layer.as_any();
+        let low: Box<dyn Layer> = match any.downcast_ref::<Conv2d>() {
+            Some(conv) => Box::new(conv.to_low_rank(u, v)),
+            None => Box::new(any.downcast_ref::<Linear>().expect("linear").to_low_rank(u, v)),
+        };
+        net.replace_layer(name, low).expect("replace");
+    }
+    net
+}
+
+/// One SGD step — forward, softmax loss, backward, update — at the
+/// benchmark's training batches (LeNet 32, ConvNet 16), dense and at the
+/// ranks the benchmark's compression ends at.
+fn bench_train_step(c: &mut Criterion) {
+    let mut g = c.benchmark_group("train_step");
+    g.sample_size(10);
+    let sgd = Sgd::new(1e-3);
+    for (kind, batch, ranks, label) in [
+        (ModelKind::LeNet, 32, None, "lenet_b32_dense"),
+        (ModelKind::LeNet, 32, Some([11, 38, 243]), "lenet_b32_ranks_11_38_243"),
+        (ModelKind::ConvNet, 16, None, "convnet_b16_dense"),
+        (ModelKind::ConvNet, 16, Some([28, 30, 58]), "convnet_b16_ranks_28_30_58"),
+    ] {
+        let mut net = model(kind, ranks);
+        let (ch, h, w) = kind.input_shape();
+        let data = rand_matrix(batch, ch * h * w, 12).into_vec();
+        let images = Tensor4::from_vec(batch, ch, h, w, data);
+        let labels: Vec<usize> = (0..batch).map(|i| i % 10).collect();
+        g.bench_function(label, |bench| {
+            bench.iter(|| net.train_step(&images, &labels, &sgd, 0));
+        });
+    }
     g.finish();
 }
 
@@ -159,6 +225,7 @@ criterion_group!(
     bench_matmul,
     bench_matmul_parallel,
     bench_im2col,
+    bench_train_step,
     bench_spectral,
     bench_hardware
 );

@@ -49,8 +49,8 @@ pub mod quant;
 pub mod svd;
 
 pub use error::{LinalgError, Result};
-pub use matrix::Matrix;
-pub use ops::{matmul_worker_threads, PARALLEL_FLOP_THRESHOLD};
+pub use matrix::{transpose_into, Matrix};
+pub use ops::{matmul_worker_threads, run_row_panels, threads_for, PARALLEL_FLOP_THRESHOLD};
 pub use quant::{
     matmul_q8_into, matmul_q8_nt_into, matmul_q8_nt_scalar_into, matmul_q8_scalar_into,
     QuantActivations, QuantMatrix, ScaleAxis,
@@ -59,4 +59,4 @@ pub use quant::{
 pub use eig::{sym_eig, SymEig};
 pub use lowrank::{max_beneficial_rank, LowRank};
 pub use pca::Pca;
-pub use svd::{svd, svd_serial, Svd};
+pub use svd::{svd, Svd};

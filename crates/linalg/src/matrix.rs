@@ -212,17 +212,7 @@ impl Matrix {
     /// Returns the transposed matrix.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        // Blocked transpose keeps both source and destination cache-resident.
-        const B: usize = 32;
-        for ib in (0..self.rows).step_by(B) {
-            for jb in (0..self.cols).step_by(B) {
-                for i in ib..(ib + B).min(self.rows) {
-                    for j in jb..(jb + B).min(self.cols) {
-                        out.data[j * self.rows + i] = self.data[i * self.cols + j];
-                    }
-                }
-            }
-        }
+        transpose_into(&self.data, self.rows, self.cols, &mut out.data);
         out
     }
 
@@ -424,6 +414,31 @@ impl Matrix {
     pub fn from_f64_vec(rows: usize, cols: usize, data: &[f64]) -> Matrix {
         assert_eq!(data.len(), rows * cols, "from_f64_vec length mismatch");
         Matrix { rows, cols, data: data.iter().map(|&v| v as f32).collect() }
+    }
+}
+
+/// Writes the transpose of the row-major `rows × cols` buffer `src` into
+/// `dst` (`cols × rows`, row-major), overwriting every element.
+///
+/// The loop is blocked so both source and destination stay
+/// cache-resident. [`Matrix::transpose`] runs it, and so do the NCHW ↔
+/// rows conversions of `scissor_nn`, one sample at a time.
+///
+/// # Panics
+///
+/// Panics if either buffer is not `rows · cols` long.
+pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    assert_eq!(src.len(), rows * cols, "transpose source/shape mismatch");
+    assert_eq!(dst.len(), rows * cols, "transpose destination/shape mismatch");
+    const B: usize = 32;
+    for ib in (0..rows).step_by(B) {
+        for jb in (0..cols).step_by(B) {
+            for i in ib..(ib + B).min(rows) {
+                for j in jb..(jb + B).min(cols) {
+                    dst[j * rows + i] = src[i * cols + j];
+                }
+            }
+        }
     }
 }
 

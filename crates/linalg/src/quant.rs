@@ -710,7 +710,8 @@ pub fn matmul_q8_into(a: &QuantActivations, b: &QuantMatrix, out: &mut Matrix) {
     check_q8_nn(a, b);
     let work = a.rows * a.cols * b.cols();
     out.reset_for_overwrite(a.rows, b.cols());
-    run_row_panels(out, threads_for(work / Q8_WORK_SCALE), |row0, panel| {
+    let cols = out.cols();
+    run_row_panels(out.as_mut_slice(), cols, threads_for(work / Q8_WORK_SCALE), |row0, panel| {
         q8_dot_panel(a, b, row0, panel)
     });
 }
@@ -728,8 +729,8 @@ pub fn matmul_q8_scalar_into(a: &QuantActivations, b: &QuantMatrix, out: &mut Ma
 }
 
 /// Int8 NT product `C = A · Bᵀ` into a caller buffer (weights `n × k`,
-/// row-grouped — the low-rank `V` shape), mirroring
-/// [`Matrix::matmul_nt_into`].
+/// row-grouped — the low-rank `V` shape), with the same row-panel dispatch
+/// as [`matmul_q8_into`].
 ///
 /// # Panics
 ///
@@ -739,7 +740,8 @@ pub fn matmul_q8_nt_into(a: &QuantActivations, b: &QuantMatrix, out: &mut Matrix
     check_q8_nt(a, b);
     let work = a.rows * a.cols * b.rows();
     out.reset_for_overwrite(a.rows, b.rows());
-    run_row_panels(out, threads_for(work / Q8_WORK_SCALE), |row0, panel| {
+    let cols = out.cols();
+    run_row_panels(out.as_mut_slice(), cols, threads_for(work / Q8_WORK_SCALE), |row0, panel| {
         q8_dot_panel(a, b, row0, panel)
     });
 }

@@ -5,31 +5,22 @@
 //! on LeNet). One-sided Jacobi orthogonalizes the columns of `A` directly and
 //! is both simple and accurate for the layer-sized matrices handled here.
 //!
-//! # Sweep ordering and parallelism
+//! # Sweep ordering
 //!
 //! A sweep visits every unordered column pair once, as `m - 1` *tournament
 //! rounds* (the circle-method round-robin schedule): each round rotates
-//! `⌊m/2⌋` pairwise-disjoint column pairs. Disjoint pairs touch no common
-//! data, so the pairs of one round can run in any order — or concurrently —
-//! without changing a single bit of the result: each pair's Givens angle
-//! and both rotated columns depend only on that pair's round-start values,
-//! and every per-pair dot product is a single accumulator running in
-//! ascending index order. The round order itself is fixed, so the serial
-//! path and the pool-parallel path (rounds fanned out over
-//! [`rayon::scope`] when big enough to pay for dispatch) are **bitwise
-//! identical** — the same contract the matmul kernels keep, enforced by the
-//! `spectral_agreement` proptests. [`svd_serial`] is the always-sequential
-//! reference entry point.
+//! `⌊m/2⌋` pairwise-disjoint column pairs. Each pair's Givens angle and both
+//! rotated columns depend only on that pair's round-start values, and every
+//! per-pair dot product is a single accumulator running in ascending index
+//! order, so a factorization is a fixed sequence of float operations. The
+//! rounds run serially on the calling thread: at the shapes rank clipping
+//! fits (75×32 up to 800×64) fanning a round's pairs out to the pool was
+//! never faster than running them inline, and up to 3× slower.
 
 use crate::error::{LinalgError, Result};
-use crate::ops::matmul_worker_threads;
 use crate::Matrix;
 
 const MAX_SWEEPS: usize = 64;
-
-/// Minimum work per round (f64 elements read + written across all pairs)
-/// before the round is worth dispatching to the pool.
-const PAR_ROUND_MIN_ELEMS: usize = 1 << 12;
 
 /// Thin SVD `A = U · diag(σ) · Vᵀ` with `U: n×r`, `V: m×r`, `r = min(n, m)`.
 ///
@@ -115,95 +106,52 @@ fn scaled_truncate(src: &Matrix, scale: &[f32]) -> Matrix {
     out
 }
 
-/// One tournament pair in flight: both data columns and both `V` columns are
-/// moved (three-word `Vec` moves, no copies) out of the column store for the
-/// duration of a round, making each pair an independently-owned unit of work
-/// with no aliasing to reason about.
-struct PairTask {
-    p: usize,
-    q: usize,
-    col_p: Vec<f64>,
-    col_q: Vec<f64>,
-    v_p: Vec<f64>,
-    v_q: Vec<f64>,
-    rotated: bool,
-}
-
-impl PairTask {
-    /// Decides and (if above threshold) applies the Givens rotation that
-    /// orthogonalizes this column pair. Runs identically on the serial and
-    /// parallel paths: three single-accumulator dot products in ascending
-    /// index order, then an in-place rotation of both columns — every
-    /// float operation is fully determined by this pair's own entries.
-    fn rotate(&mut self, tol: f64) {
-        self.rotated = false;
-        let mut alpha = 0.0_f64;
-        let mut beta = 0.0_f64;
-        let mut gamma = 0.0_f64;
-        for (x, y) in self.col_p.iter().zip(&self.col_q) {
-            alpha += x * x;
-            beta += y * y;
-            gamma += x * y;
-        }
-        if gamma.abs() <= tol || gamma.abs() <= 1e-15 * (alpha * beta).sqrt() {
-            return;
-        }
-        self.rotated = true;
-        let zeta = (beta - alpha) / (2.0 * gamma);
-        let t = if zeta >= 0.0 {
-            1.0 / (zeta + (1.0 + zeta * zeta).sqrt())
-        } else {
-            -1.0 / (-zeta + (1.0 + zeta * zeta).sqrt())
-        };
-        let c = 1.0 / (1.0 + t * t).sqrt();
-        let s = c * t;
-        for (x, y) in self.col_p.iter_mut().zip(self.col_q.iter_mut()) {
-            let (xp, yq) = (*x, *y);
-            *x = c * xp - s * yq;
-            *y = s * xp + c * yq;
-        }
-        for (x, y) in self.v_p.iter_mut().zip(self.v_q.iter_mut()) {
-            let (xp, yq) = (*x, *y);
-            *x = c * xp - s * yq;
-            *y = s * xp + c * yq;
-        }
+/// Decides and (if above threshold) applies the Givens rotation that
+/// orthogonalizes data columns `p`/`q` (rotating `V` columns `v_p`/`v_q`
+/// alongside); returns whether it rotated. Three single-accumulator dot
+/// products in ascending index order, then an in-place rotation of both
+/// pairs — every float operation is fully determined by this pair's own
+/// entries.
+fn rotate_pair(
+    col_p: &mut [f64],
+    col_q: &mut [f64],
+    v_p: &mut [f64],
+    v_q: &mut [f64],
+    tol: f64,
+) -> bool {
+    let mut alpha = 0.0_f64;
+    let mut beta = 0.0_f64;
+    let mut gamma = 0.0_f64;
+    for (x, y) in col_p.iter().zip(col_q.iter()) {
+        alpha += x * x;
+        beta += y * y;
+        gamma += x * y;
     }
-}
-
-/// Rotates every pair of one tournament round, fanning out across the pool
-/// when the round carries enough work. The pairs are disjoint and each task
-/// owns its columns, so execution order — serial, or any interleaving across
-/// workers — cannot affect the result.
-fn run_round(tasks: &mut [PairTask], tol: f64, allow_parallel: bool) {
-    if allow_parallel && tasks.len() > 1 {
-        let n = tasks[0].col_p.len();
-        let mv = tasks[0].v_p.len();
-        let work = tasks.len() * 2 * (n + mv);
-        let threads = matmul_worker_threads();
-        if threads > 1 && work >= PAR_ROUND_MIN_ELEMS {
-            let chunk = tasks.len().div_ceil(threads.min(tasks.len()));
-            rayon::scope(|s| {
-                for group in tasks.chunks_mut(chunk) {
-                    s.spawn(move |_| {
-                        for task in group.iter_mut() {
-                            task.rotate(tol);
-                        }
-                    });
-                }
-            });
-            return;
-        }
+    if gamma.abs() <= tol || gamma.abs() <= 1e-15 * (alpha * beta).sqrt() {
+        return false;
     }
-    for task in tasks.iter_mut() {
-        task.rotate(tol);
+    let zeta = (beta - alpha) / (2.0 * gamma);
+    let t = if zeta >= 0.0 {
+        1.0 / (zeta + (1.0 + zeta * zeta).sqrt())
+    } else {
+        -1.0 / (-zeta + (1.0 + zeta * zeta).sqrt())
+    };
+    let c = 1.0 / (1.0 + t * t).sqrt();
+    let s = c * t;
+    for (x, y) in col_p.iter_mut().zip(col_q.iter_mut()) {
+        let (xp, yq) = (*x, *y);
+        *x = c * xp - s * yq;
+        *y = s * xp + c * yq;
     }
+    for (x, y) in v_p.iter_mut().zip(v_q.iter_mut()) {
+        let (xp, yq) = (*x, *y);
+        *x = c * xp - s * yq;
+        *y = s * xp + c * yq;
+    }
+    true
 }
 
 /// Computes the thin SVD of `a` by one-sided Jacobi.
-///
-/// Large factorizations fan each tournament round's disjoint column pairs
-/// out across the persistent pool; the result is bitwise identical to
-/// [`svd_serial`].
 ///
 /// # Errors
 ///
@@ -222,22 +170,9 @@ fn run_round(tasks: &mut [PairTask], tol: f64, allow_parallel: bool) {
 /// # Ok::<(), scissor_linalg::LinalgError>(())
 /// ```
 pub fn svd(a: &Matrix) -> Result<Svd> {
-    svd_impl(a, true)
-}
-
-/// Always-sequential reference implementation of [`svd`].
-///
-/// Rounds are processed pair by pair in schedule order on the calling
-/// thread; [`svd`] with the pool enabled must agree with this bitwise (the
-/// `spectral_agreement` proptests assert exact equality).
-pub fn svd_serial(a: &Matrix) -> Result<Svd> {
-    svd_impl(a, false)
-}
-
-fn svd_impl(a: &Matrix, allow_parallel: bool) -> Result<Svd> {
     // One-sided Jacobi wants n >= m; otherwise decompose the transpose and swap.
     if a.rows() < a.cols() {
-        let t = svd_impl(&a.transpose(), allow_parallel)?;
+        let t = svd(&a.transpose())?;
         return Ok(Svd { u: t.v, sigma: t.sigma, v: t.u });
     }
     // Checked once, after the transpose: a non-finite column never
@@ -251,8 +186,7 @@ fn svd_impl(a: &Matrix, allow_parallel: bool) -> Result<Svd> {
     }
 
     // Work in f64 column-major: cols[j] is the j-th column of the evolving
-    // A·V; vcols[j] the j-th column of V. Column-major V keeps each pair's
-    // state in two independently-movable Vecs (see `PairTask`).
+    // A·V; vcols[j] the j-th column of V.
     let mut cols: Vec<Vec<f64>> =
         (0..m).map(|j| (0..n).map(|i| a[(i, j)] as f64).collect()).collect();
     let mut vcols: Vec<Vec<f64>> = (0..m)
@@ -274,13 +208,9 @@ fn svd_impl(a: &Matrix, allow_parallel: bool) -> Result<Svd> {
     let tol = 1e-14 * frob_sq;
 
     // Tournament (circle-method) schedule over m columns, padded to even
-    // with a bye; m-1 rounds cover every unordered pair exactly once. The
-    // task vector doubles as the per-round scratch: its capacity — and the
-    // capacity of every Vec moved through it — persists across rounds and
-    // sweeps, so steady-state sweeps allocate nothing.
+    // with a bye; m-1 rounds cover every unordered pair exactly once.
     let np = m + (m & 1);
     let mut ring: Vec<usize> = (0..np).collect();
-    let mut tasks: Vec<PairTask> = Vec::with_capacity(np / 2);
 
     let mut converged = false;
     for _sweep in 0..MAX_SWEEPS {
@@ -295,23 +225,10 @@ fn svd_impl(a: &Matrix, allow_parallel: bool) -> Result<Svd> {
                     continue; // bye slot on odd m
                 }
                 let (p, q) = if a < b { (a, b) } else { (b, a) };
-                tasks.push(PairTask {
-                    p,
-                    q,
-                    col_p: std::mem::take(&mut cols[p]),
-                    col_q: std::mem::take(&mut cols[q]),
-                    v_p: std::mem::take(&mut vcols[p]),
-                    v_q: std::mem::take(&mut vcols[q]),
-                    rotated: false,
-                });
-            }
-            run_round(&mut tasks, tol, allow_parallel);
-            for task in tasks.drain(..) {
-                rotated_any |= task.rotated;
-                cols[task.p] = task.col_p;
-                cols[task.q] = task.col_q;
-                vcols[task.p] = task.v_p;
-                vcols[task.q] = task.v_q;
+                let (cols_lo, cols_hi) = cols.split_at_mut(q);
+                let (v_lo, v_hi) = vcols.split_at_mut(q);
+                rotated_any |=
+                    rotate_pair(&mut cols_lo[p], &mut cols_hi[0], &mut v_lo[p], &mut v_hi[0], tol);
             }
             // Advance the schedule: hold ring[0], rotate the rest one step.
             let last = ring[np - 1];
@@ -487,24 +404,6 @@ mod tests {
         assert!(d.sigma.iter().all(|&s| s == 0.0));
         let e = svd(&Matrix::zeros(0, 0)).unwrap();
         assert!(e.sigma.is_empty());
-    }
-
-    #[test]
-    fn serial_entry_point_matches_default_exactly() {
-        // The real cross-thread agreement lives in tests/spectral_agreement*;
-        // this pins the two entry points to one schedule on a tall, an odd-
-        // width (bye slot), and a wide (transpose path) matrix.
-        for (rows, cols) in [(24, 16), (21, 13), (6, 18)] {
-            let a = Matrix::from_fn(rows, cols, |i, j| {
-                ((i * 13 + j * 7) % 19) as f32 * 0.21 - 1.7 + (i as f32 * 0.3).sin()
-            });
-            let d = svd(&a).unwrap();
-            let s = svd_serial(&a).unwrap();
-            assert_eq!(d.u, s.u);
-            assert_eq!(d.v, s.v);
-            assert_eq!(d.sigma.len(), s.sigma.len());
-            assert!(d.sigma.iter().zip(&s.sigma).all(|(x, y)| x.to_bits() == y.to_bits()));
-        }
     }
 
     #[test]

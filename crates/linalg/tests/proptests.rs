@@ -1,9 +1,7 @@
 //! Property-based tests for the linear-algebra kernels.
 
 use proptest::prelude::*;
-use scissor_linalg::{
-    max_beneficial_rank, svd, svd_serial, sym_eig, LinalgError, LowRank, Matrix, Pca,
-};
+use scissor_linalg::{max_beneficial_rank, svd, sym_eig, LinalgError, LowRank, Matrix, Pca};
 
 /// Strategy: a matrix with bounded dimensions and entries in [-1, 1].
 fn matrix_strategy(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Matrix> {
@@ -181,9 +179,8 @@ proptest! {
 /// One non-finite off-diagonal pair in an otherwise well-conditioned
 /// symmetric matrix must be rejected with a typed error by every spectral
 /// entry point — not panic, burn the whole iteration budget, or converge on
-/// an infinite tolerance. Orders 20 and 100 put the SVD's tournament rounds
-/// below and above its pool fan-out threshold; the wide slice covers the
-/// SVD's transpose path.
+/// an infinite tolerance. Orders 20 and 100 bracket the layer shapes rank
+/// clipping fits; the wide slice covers the SVD's transpose path.
 #[test]
 fn spectral_solvers_reject_non_finite_input() {
     for n in [20usize, 100] {
@@ -204,7 +201,6 @@ fn spectral_solvers_reject_non_finite_input() {
             let ctx = format!("n = {n}, entry = {bad}");
             assert!(non_finite(svd(&a).map(drop)), "svd, {ctx}");
             assert!(non_finite(svd(&wide).map(drop)), "svd (wide), {ctx}");
-            assert!(non_finite(svd_serial(&a).map(drop)), "svd_serial, {ctx}");
             assert!(non_finite(sym_eig(&a).map(drop)), "sym_eig, {ctx}");
             assert!(non_finite(Pca::fit(&a).map(drop)), "Pca::fit, {ctx}");
         }

@@ -9,8 +9,10 @@
 //! *compiled* into a flat list of forward-only steps:
 //!
 //! * dense layers keep their `fan_in × fan_out` crossbar matrix;
-//! * low-rank layers keep the factored `(U, V)` pair — the two-crossbar
-//!   serving form of the paper's rank-clipped layers (`y = (x·U)·Vᵀ + b`);
+//! * low-rank layers keep the factored pair — the two-crossbar serving form
+//!   of the paper's rank-clipped layers (`y = (x·U)·Vᵀ + b`). The f32 plan
+//!   stores `Vᵀ`, transposed once at compile time, so both products run on
+//!   the `A · B` kernel; the result equals the layer's `matmul_nt` bitwise;
 //! * deletion masks can be re-applied onto the frozen weights with
 //!   [`CompiledNet::apply_mask`], pinning deleted connections to exact
 //!   zeros;
@@ -262,12 +264,12 @@ impl std::fmt::Display for ServingForm {
 enum StepKind {
     /// Dense convolution: `im2col(x) · W + b`.
     Conv { geom: ConvGeometry, weight: Matrix, bias: Matrix, out_ch: usize },
-    /// Factored convolution: `(im2col(x) · U) · Vᵀ + b`.
-    LowRankConv { geom: ConvGeometry, u: Matrix, v: Matrix, bias: Matrix, out_ch: usize },
+    /// Factored convolution: `(im2col(x) · U) · Vᵀ + b`, holding `vt = Vᵀ`.
+    LowRankConv { geom: ConvGeometry, u: Matrix, vt: Matrix, bias: Matrix, out_ch: usize },
     /// Dense fully-connected: `x · W + b`.
     Linear { weight: Matrix, bias: Matrix },
-    /// Factored fully-connected: `(x · U) · Vᵀ + b`.
-    LowRankLinear { u: Matrix, v: Matrix, bias: Matrix, fan_out: usize },
+    /// Factored fully-connected: `(x · U) · Vᵀ + b`, holding `vt = Vᵀ`.
+    LowRankLinear { u: Matrix, vt: Matrix, bias: Matrix, fan_out: usize },
     /// Max pooling.
     MaxPool { kernel: usize, stride: usize, ceil_mode: bool },
     /// ReLU.
@@ -337,10 +339,10 @@ fn quantize_kind(kind: &StepKind, group_size: usize) -> Option<QuantWeights> {
         StepKind::Conv { weight, .. } | StepKind::Linear { weight, .. } => {
             Some(QuantWeights::Dense { weight: QuantMatrix::quantize_cols(weight, group_size) })
         }
-        StepKind::LowRankConv { u, v, .. } | StepKind::LowRankLinear { u, v, .. } => {
+        StepKind::LowRankConv { u, vt, .. } | StepKind::LowRankLinear { u, vt, .. } => {
             Some(QuantWeights::Factored {
                 u: QuantMatrix::quantize_cols(u, group_size),
-                v: QuantMatrix::quantize_rows(v, group_size),
+                v: QuantMatrix::quantize_rows(&vt.transpose(), group_size),
             })
         }
         StepKind::MaxPool { .. } | StepKind::Relu => None,
@@ -559,7 +561,7 @@ impl CompiledNet {
             return Ok(StepKind::LowRankConv {
                 geom: lr.geometry(),
                 u: u.clone(),
-                v: v.clone(),
+                vt: v.transpose(),
                 out_ch: lr.out_channels(),
                 bias,
             });
@@ -574,7 +576,7 @@ impl CompiledNet {
             let bias = layer.params().last().expect("low-rank linear has a bias").value().clone();
             return Ok(StepKind::LowRankLinear {
                 u: u.clone(),
-                v: v.clone(),
+                vt: v.transpose(),
                 fan_out: lr.fan_out(),
                 bias,
             });
@@ -617,8 +619,8 @@ impl CompiledNet {
                 StepKind::Conv { weight, bias, .. } | StepKind::Linear { weight, bias } => {
                     weight.len() + bias.len()
                 }
-                StepKind::LowRankConv { u, v, bias, .. }
-                | StepKind::LowRankLinear { u, v, bias, .. } => u.len() + v.len() + bias.len(),
+                StepKind::LowRankConv { u, vt, bias, .. }
+                | StepKind::LowRankLinear { u, vt, bias, .. } => u.len() + vt.len() + bias.len(),
                 StepKind::MaxPool { .. } | StepKind::Relu => 0,
             })
             .sum()
@@ -655,9 +657,9 @@ impl CompiledNet {
                 MaskTarget::U,
             ) => u,
             (
-                StepKind::LowRankConv { v, .. } | StepKind::LowRankLinear { v, .. },
+                StepKind::LowRankConv { vt, .. } | StepKind::LowRankLinear { vt, .. },
                 MaskTarget::V,
-            ) => v,
+            ) => vt,
             (
                 StepKind::Conv { bias, .. }
                 | StepKind::Linear { bias, .. }
@@ -667,13 +669,24 @@ impl CompiledNet {
             ) => bias,
             _ => unreachable!("mask_target only resolves params the kind owns"),
         };
-        if target.shape() != mask.shape() {
+        // A `.v` mask addresses `V`; the plan holds `Vᵀ`, so the mask is
+        // checked against `V`'s shape and transposed onto it.
+        let is_v = matches!(role, MaskTarget::V);
+        let expected = if is_v { (target.cols(), target.rows()) } else { target.shape() };
+        if mask.shape() != expected {
             return Err(NnError::StateShapeMismatch {
                 name: param.to_string(),
                 stored: mask.shape(),
-                expected: target.shape(),
+                expected,
             });
         }
+        let transposed;
+        let mask = if is_v {
+            transposed = mask.transpose();
+            &transposed
+        } else {
+            mask
+        };
         for (wv, &mv) in target.as_mut_slice().iter_mut().zip(mask.as_slice()) {
             if mv == 0.0 {
                 *wv = 0.0;
@@ -850,10 +863,10 @@ impl CompiledNet {
                     F * (weight.len() + bias.len())
                 }
                 (
-                    StepKind::LowRankConv { u, v, bias, .. }
-                    | StepKind::LowRankLinear { u, v, bias, .. },
+                    StepKind::LowRankConv { u, vt, bias, .. }
+                    | StepKind::LowRankLinear { u, vt, bias, .. },
                     None,
-                ) => F * (u.len() + v.len() + bias.len()),
+                ) => F * (u.len() + vt.len() + bias.len()),
                 (StepKind::MaxPool { .. } | StepKind::Relu, _) => 0,
             })
             .sum()
@@ -893,7 +906,7 @@ impl CompiledNet {
                         (*out_ch, oh, ow),
                     )
                 }
-                StepKind::LowRankConv { geom: g, u, v, bias, out_ch } => {
+                StepKind::LowRankConv { geom: g, u, vt, bias, out_ch } => {
                     let (oh, ow) = conv_output_hw(h, w, g.kh, g.kw, g.stride, g.pad);
                     let pos = oh * ow;
                     // f32: src act + cols + t (x·U) + rows + dst act.
@@ -910,7 +923,7 @@ impl CompiledNet {
                     }
                     (
                         per,
-                        step_weight_bytes(quant, F * (u.len() + v.len())) + F * bias.len(),
+                        step_weight_bytes(quant, F * (u.len() + vt.len())) + F * bias.len(),
                         (*out_ch, oh, ow),
                     )
                 }
@@ -925,7 +938,7 @@ impl CompiledNet {
                         (weight.cols(), 1, 1),
                     )
                 }
-                StepKind::LowRankLinear { u, v, bias, fan_out } => {
+                StepKind::LowRankLinear { u, vt, bias, fan_out } => {
                     let mut per = F * (in_f + u.cols() + fan_out);
                     if quant.is_some() {
                         per += QuantActivations::resident_bytes(1, in_f)
@@ -933,7 +946,7 @@ impl CompiledNet {
                     }
                     (
                         per,
-                        step_weight_bytes(quant, F * (u.len() + v.len())) + F * bias.len(),
+                        step_weight_bytes(quant, F * (u.len() + vt.len())) + F * bias.len(),
                         (*fan_out, 1, 1),
                     )
                 }
@@ -1249,7 +1262,7 @@ fn run_step(
             rows_to_nchw_into(rows, b, *out_ch, oh, ow, dst.as_mut_slice());
             (*out_ch, oh, ow)
         }
-        StepKind::LowRankConv { geom: g, u, v, bias, out_ch } => {
+        StepKind::LowRankConv { geom: g, u, vt, bias, out_ch } => {
             let (oh, ow) = conv_output_hw(h, w, g.kh, g.kw, g.stride, g.pad);
             if let Some(QuantWeights::Factored { u: qu, v: qv }) = quant {
                 qsrc.quantize_from(src);
@@ -1260,7 +1273,7 @@ fn run_step(
             } else {
                 im2col_into(src.as_slice(), (b, c, h, w), g.kh, g.kw, g.stride, g.pad, cols);
                 cols.matmul_into(u, t);
-                t.matmul_nt_into(v, rows);
+                t.matmul_into(vt, rows);
             }
             add_bias_rows(rows, bias);
             dst.reset_for_overwrite(b, out_ch * oh * ow);
@@ -1277,7 +1290,7 @@ fn run_step(
             add_bias_rows(dst, bias);
             (weight.cols(), 1, 1)
         }
-        StepKind::LowRankLinear { u, v, bias, fan_out } => {
+        StepKind::LowRankLinear { u, vt, bias, fan_out } => {
             if let Some(QuantWeights::Factored { u: qu, v: qv }) = quant {
                 qa.quantize_from(src);
                 matmul_q8_into(qa, qu, t);
@@ -1285,7 +1298,7 @@ fn run_step(
                 matmul_q8_nt_into(qt, qv, dst);
             } else {
                 src.matmul_into(u, t);
-                t.matmul_nt_into(v, dst);
+                t.matmul_into(vt, dst);
             }
             add_bias_rows(dst, bias);
             (*fan_out, 1, 1)
@@ -1461,6 +1474,55 @@ mod tests {
         let (u, _) = net.layer("fc1").unwrap().low_rank_factors().unwrap();
         let ones = Matrix::filled(u.rows(), u.cols(), 1.0);
         plan.apply_mask("fc1.u", &ones).unwrap();
+    }
+
+    #[test]
+    fn masking_v_matches_the_masked_networks_eval_forward() {
+        // The f32 plan holds `Vᵀ`: a `.v` mask, given in `V`'s shape, must
+        // land on the transposed entries. Compile unmasked, then mask the
+        // plans and the network alike.
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut net = mixed_net(&mut rng);
+        let mut plan = CompiledNet::compile(&net).unwrap();
+        let mut qplan = CompiledNet::compile_quantized(&net, 2).unwrap();
+        let x = Tensor4::from_vec(
+            3,
+            2,
+            8,
+            8,
+            (0..3 * 128).map(|i| ((i * 7 + 2) % 31) as f32 * 0.08 - 1.2).collect(),
+        );
+        let q_unmasked = qplan.infer(&x);
+        for name in ["conv1.v", "fc1.v"] {
+            let (rows, cols) = net.param(name).unwrap().value().shape();
+            // An asymmetric zero pattern: a transposition slip zeroes
+            // other entries.
+            let mask = Matrix::from_fn(rows, cols, |i, j| f32::from((i * 3 + j) % 4 != 0));
+            plan.apply_mask(name, &mask).unwrap();
+            qplan.apply_mask(name, &mask).unwrap();
+            let v = net.param_mut(name).unwrap().value_mut();
+            for (wv, &mv) in v.as_mut_slice().iter_mut().zip(mask.as_slice()) {
+                if mv == 0.0 {
+                    *wv = 0.0;
+                }
+            }
+        }
+        let expect = net.forward(&x, Phase::Eval);
+        let got = plan.infer(&x);
+        assert!(
+            got.as_slice().iter().zip(expect.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "masked f32 plan must equal the masked network bitwise"
+        );
+        // The int8 plan re-quantized `V` from the masked entries.
+        let fresh = CompiledNet::compile_quantized(&net, 2).unwrap().infer(&x);
+        assert_eq!(qplan.infer(&x).as_slice(), fresh.as_slice());
+        assert_ne!(q_unmasked.as_slice(), fresh.as_slice());
+        // A mask in `Vᵀ`'s shape is rejected, reporting `V`'s shape.
+        let (rows, cols) = net.param("fc1.v").unwrap().value().shape();
+        match plan.apply_mask("fc1.v", &Matrix::zeros(cols, rows)) {
+            Err(NnError::StateShapeMismatch { expected, .. }) => assert_eq!(expected, (rows, cols)),
+            other => panic!("expected a shape mismatch, got {other:?}"),
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `(C·KH·KW) × out_channels` weight matrix — the same `N × M` matrix that
 //! gets mapped onto crossbars (Fig. 1a: one filter per crossbar column).
 
-use scissor_linalg::{Matrix, QuantActivations};
+use scissor_linalg::{run_row_panels, threads_for, transpose_into, Matrix, QuantActivations};
 
 use crate::tensor::Tensor4;
 
@@ -39,12 +39,43 @@ pub fn im2col(input: &Tensor4, kh: usize, kw: usize, stride: usize, pad: usize) 
     out
 }
 
+/// The kernel taps `[k0, k1)` of output coordinate `o` that land inside an
+/// input axis of length `n`: tap `t` reads input `o·stride + t − pad`.
+/// Computed once per output position, so the copy loops below move whole
+/// contiguous runs instead of bounds-checking every tap.
+fn tap_range(o: usize, stride: usize, pad: usize, k: usize, n: usize) -> (usize, usize) {
+    let start = o * stride;
+    let k0 = pad.saturating_sub(start).min(k);
+    let k1 = (pad + n).saturating_sub(start).min(k);
+    (k0, k1.max(k0))
+}
+
+/// Runs `f(sample, chunk)` over every `item_len`-element sample chunk of
+/// `out`, with whole samples split across the pool by
+/// [`run_row_panels`] under the matmul kernels' [`threads_for`] gate
+/// (`out.len()` elements of work). Samples are disjoint, so the split
+/// cannot change a bit.
+fn for_each_sample<F>(out: &mut [f32], item_len: usize, f: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    if item_len == 0 {
+        return;
+    }
+    run_row_panels(out, item_len, threads_for(out.len()), |first, panel| {
+        for (i, chunk) in panel.chunks_exact_mut(item_len).enumerate() {
+            f(first + i, chunk);
+        }
+    });
+}
+
 /// [`im2col`] over a raw NCHW buffer, writing into a caller-provided
 /// matrix.
 ///
-/// `out` is reshaped (reusing its allocation) and zeroed before the patch
-/// fill, so the result is identical to [`im2col`] — this is the
-/// allocation-free entry used by the compiled inference plan.
+/// `out` is reshaped (reusing its allocation) and every element is
+/// overwritten: a patch row that reaches into the padding is zeroed before
+/// its in-bounds runs are copied. The result is identical to [`im2col`] —
+/// this is the allocation-free entry used by the compiled inference plan.
 ///
 /// # Panics
 ///
@@ -63,39 +94,31 @@ pub fn im2col_into(
     assert_eq!(src.len(), b * c * h * w, "im2col buffer/shape mismatch");
     let (oh, ow) = conv_output_hw(h, w, kh, kw, stride, pad);
     let patch = c * kh * kw;
-    // Padding contributes zeros by omission, so the buffer must be cleared
-    // when pad > 0; an unpadded unroll writes every patch element.
-    if pad == 0 {
-        out.reset_for_overwrite(b * oh * ow, patch);
-    } else {
-        out.reset_zeroed(b * oh * ow, patch);
-    }
-    for bi in 0..b {
+    out.reset_for_overwrite(b * oh * ow, patch);
+    for_each_sample(out.as_mut_slice(), oh * ow * patch, |bi, dst| {
+        let sample = &src[bi * c * h * w..(bi + 1) * c * h * w];
         for oy in 0..oh {
+            let (ky0, ky1) = tap_range(oy, stride, pad, kh, h);
             for ox in 0..ow {
-                let row = (bi * oh + oy) * ow + ox;
-                let dst = out.row_mut(row);
+                let (kx0, kx1) = tap_range(ox, stride, pad, kw, w);
+                let row = &mut dst[(oy * ow + ox) * patch..][..patch];
+                if ky1 - ky0 < kh || kx1 - kx0 < kw {
+                    row.fill(0.0);
+                }
+                if kx1 == kx0 {
+                    continue; // every tap of this position is padding
+                }
+                let (ix0, run) = (ox * stride + kx0 - pad, kx1 - kx0);
                 for ci in 0..c {
-                    let chan_base = (bi * c + ci) * h * w;
-                    for ky in 0..kh {
-                        let iy = (oy * stride + ky) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let src_row = chan_base + iy as usize * w;
-                        let dst_base = (ci * kh + ky) * kw;
-                        for kx in 0..kw {
-                            let ix = (ox * stride + kx) as isize - pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            dst[dst_base + kx] = src[src_row + ix as usize];
-                        }
+                    for ky in ky0..ky1 {
+                        let from = (ci * h + oy * stride + ky - pad) * w + ix0;
+                        let to = (ci * kh + ky) * kw + kx0;
+                        row[to..to + run].copy_from_slice(&sample[from..from + run]);
                     }
                 }
             }
         }
-    }
+    });
 }
 
 /// [`im2col_into`] on the int8 grid — the quantized serving plan's conv
@@ -157,6 +180,10 @@ pub fn im2col_quant_into(
 /// Adjoint of [`im2col`]: scatters patch-space gradients back to input
 /// space, accumulating where patches overlap.
 ///
+/// Samples are split across the pool; within a sample the output positions
+/// are visited in ascending order, so every input element sums its
+/// overlapping taps in the same order on every path.
+///
 /// # Panics
 ///
 /// Panics if `cols` does not have the shape [`im2col`] would produce for
@@ -171,34 +198,32 @@ pub fn col2im(
 ) -> Tensor4 {
     let (b, c, h, w) = input_shape;
     let (oh, ow) = conv_output_hw(h, w, kh, kw, stride, pad);
-    assert_eq!(cols.shape(), (b * oh * ow, c * kh * kw), "col2im shape mismatch");
+    let patch = c * kh * kw;
+    assert_eq!(cols.shape(), (b * oh * ow, patch), "col2im shape mismatch");
     let mut out = Tensor4::zeros(b, c, h, w);
-    let dst = out.as_mut_slice();
-    for bi in 0..b {
+    for_each_sample(out.as_mut_slice(), c * h * w, |bi, dst| {
+        let sample = &cols.as_slice()[bi * oh * ow * patch..(bi + 1) * oh * ow * patch];
         for oy in 0..oh {
+            let (ky0, ky1) = tap_range(oy, stride, pad, kh, h);
             for ox in 0..ow {
-                let row = cols.row((bi * oh + oy) * ow + ox);
+                let (kx0, kx1) = tap_range(ox, stride, pad, kw, w);
+                if kx1 == kx0 {
+                    continue; // every tap of this position is padding
+                }
+                let row = &sample[(oy * ow + ox) * patch..][..patch];
+                let (ix0, run) = (ox * stride + kx0 - pad, kx1 - kx0);
                 for ci in 0..c {
-                    let chan_base = (bi * c + ci) * h * w;
-                    for ky in 0..kh {
-                        let iy = (oy * stride + ky) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let dst_row = chan_base + iy as usize * w;
-                        let src_base = (ci * kh + ky) * kw;
-                        for kx in 0..kw {
-                            let ix = (ox * stride + kx) as isize - pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            dst[dst_row + ix as usize] += row[src_base + kx];
+                    for ky in ky0..ky1 {
+                        let to = (ci * h + oy * stride + ky - pad) * w + ix0;
+                        let from = (ci * kh + ky) * kw + kx0;
+                        for (d, &v) in dst[to..to + run].iter_mut().zip(&row[from..from + run]) {
+                            *d += v;
                         }
                     }
                 }
             }
         }
-    }
+    });
     out
 }
 
@@ -212,7 +237,8 @@ pub fn rows_to_nchw(m: &Matrix, b: usize, c: usize, h: usize, w: usize) -> Tenso
 
 /// [`rows_to_nchw`] writing into a caller-provided NCHW buffer (the
 /// allocation-free entry used by the compiled inference plan). Every
-/// destination element is overwritten.
+/// destination element is overwritten: each sample's `(H·W) × C` block of
+/// rows is transposed to `C × (H·W)`, samples split across the pool.
 ///
 /// # Panics
 ///
@@ -220,34 +246,21 @@ pub fn rows_to_nchw(m: &Matrix, b: usize, c: usize, h: usize, w: usize) -> Tenso
 pub fn rows_to_nchw_into(m: &Matrix, b: usize, c: usize, h: usize, w: usize, dst: &mut [f32]) {
     assert_eq!(m.shape(), (b * h * w, c), "rows_to_nchw shape mismatch");
     assert_eq!(dst.len(), b * c * h * w, "rows_to_nchw destination mismatch");
-    for bi in 0..b {
-        for y in 0..h {
-            for x in 0..w {
-                let row = m.row((bi * h + y) * w + x);
-                for (ci, &v) in row.iter().enumerate() {
-                    dst[((bi * c + ci) * h + y) * w + x] = v;
-                }
-            }
-        }
-    }
+    let item = c * h * w;
+    for_each_sample(dst, item, |bi, sample| {
+        transpose_into(&m.as_slice()[bi * item..(bi + 1) * item], h * w, c, sample);
+    });
 }
 
 /// Inverse of [`rows_to_nchw`]: flattens an NCHW tensor to
-/// `(B·OH·OW) × C` rows.
+/// `(B·OH·OW) × C` rows, one per-sample `C × (H·W)` transpose each.
 pub fn nchw_to_rows(t: &Tensor4) -> Matrix {
     let (b, c, h, w) = t.shape();
     let mut out = Matrix::zeros(b * h * w, c);
-    let src = t.as_slice();
-    for bi in 0..b {
-        for y in 0..h {
-            for x in 0..w {
-                let dst = out.row_mut((bi * h + y) * w + x);
-                for (ci, d) in dst.iter_mut().enumerate() {
-                    *d = src[((bi * c + ci) * h + y) * w + x];
-                }
-            }
-        }
-    }
+    let item = c * h * w;
+    for_each_sample(out.as_mut_slice(), item, |bi, rows| {
+        transpose_into(&t.as_slice()[bi * item..(bi + 1) * item], c, h * w, rows);
+    });
     out
 }
 

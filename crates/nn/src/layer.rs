@@ -64,6 +64,21 @@ pub trait Layer: InferLayer {
     /// Implementations may panic if called before a training-phase forward.
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4;
 
+    /// Accumulates parameter gradients from `grad_out` like
+    /// [`Layer::backward`], without computing the input gradient.
+    ///
+    /// `Network::backward` calls this on the first layer that has
+    /// parameters, whose input gradient nothing reads. The default runs
+    /// `backward` and drops the result; layers whose input gradient costs a
+    /// product (conv, linear and their low-rank forms) override it.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if called before a training-phase forward.
+    fn backward_params(&mut self, grad_out: &Tensor4) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Drops any backward caches held from a previous training forward.
     fn clear_cache(&mut self) {}
 

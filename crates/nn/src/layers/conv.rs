@@ -29,6 +29,18 @@ pub(crate) fn add_bias_rows(y: &mut Matrix, bias: &Matrix) {
     }
 }
 
+/// The bias gradient of every matmul-lowered layer: `g`'s rows summed in
+/// ascending order into one `1 × M` row.
+pub(crate) fn sum_rows(g: &Matrix) -> Matrix {
+    let mut db = Matrix::zeros(1, g.cols());
+    for r in 0..g.rows() {
+        for (d, &v) in db.row_mut(0).iter_mut().zip(g.row(r)) {
+            *d += v;
+        }
+    }
+    db
+}
+
 /// Shared convolution geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvGeometry {
@@ -151,6 +163,21 @@ impl Conv2d {
         let out = rows_to_nchw(&y, b, self.out_channels(), oh, ow);
         (cols, out)
     }
+
+    /// Accumulates the weight and bias gradients of the cached forward;
+    /// returns `grad_out` as `(B·OH·OW) × out_ch` rows and the forward's
+    /// input shape, for the input gradient.
+    fn accumulate_param_grads(
+        &mut self,
+        grad_out: &Tensor4,
+    ) -> (Matrix, (usize, usize, usize, usize)) {
+        let cache = self.cache.as_ref().expect("backward requires a training-phase forward");
+        let g = nchw_to_rows(grad_out);
+        debug_assert_eq!(g.rows(), cache.cols.rows());
+        self.weight.grad_mut().axpy(1.0, &cache.cols.matmul_tn(&g));
+        self.bias.grad_mut().axpy(1.0, &sum_rows(&g));
+        (g, cache.input_shape)
+    }
 }
 
 impl InferLayer for Conv2d {
@@ -183,20 +210,14 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let cache = self.cache.as_ref().expect("backward requires a training-phase forward");
-        let g = nchw_to_rows(grad_out);
-        debug_assert_eq!(g.rows(), cache.cols.rows());
-        self.weight.grad_mut().axpy(1.0, &cache.cols.matmul_tn(&g));
-        let mut db = Matrix::zeros(1, g.cols());
-        for r in 0..g.rows() {
-            for (d, &v) in db.row_mut(0).iter_mut().zip(g.row(r)) {
-                *d += v;
-            }
-        }
-        self.bias.grad_mut().axpy(1.0, &db);
+        let (g, input_shape) = self.accumulate_param_grads(grad_out);
         let dcols = g.matmul_nt(self.weight.value());
         let geom = self.geom;
-        col2im(&dcols, cache.input_shape, geom.kh, geom.kw, geom.stride, geom.pad)
+        col2im(&dcols, input_shape, geom.kh, geom.kw, geom.stride, geom.pad)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor4) {
+        self.accumulate_param_grads(grad_out);
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -299,6 +320,25 @@ impl LowRankConv2d {
         let out = rows_to_nchw(&y, b, self.out_channels, oh, ow);
         (cols, t, out)
     }
+
+    /// Accumulates the `U`, `V` and bias gradients of the cached forward;
+    /// returns `dT = g·V` and the forward's input shape, for the input
+    /// gradient.
+    fn accumulate_param_grads(
+        &mut self,
+        grad_out: &Tensor4,
+    ) -> (Matrix, (usize, usize, usize, usize)) {
+        let cache = self.cache.as_ref().expect("backward requires a training-phase forward");
+        let g = nchw_to_rows(grad_out);
+        // dV = gᵀ · T
+        self.v.grad_mut().axpy(1.0, &g.matmul_tn(&cache.t));
+        // dT = g · V
+        let dt = g.matmul(self.v.value());
+        // dU = colsᵀ · dT
+        self.u.grad_mut().axpy(1.0, &cache.cols.matmul_tn(&dt));
+        self.bias.grad_mut().axpy(1.0, &sum_rows(&g));
+        (dt, cache.input_shape)
+    }
 }
 
 impl InferLayer for LowRankConv2d {
@@ -331,26 +371,15 @@ impl Layer for LowRankConv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let cache = self.cache.as_ref().expect("backward requires a training-phase forward");
-        let g = nchw_to_rows(grad_out);
-        // dV = gᵀ · T
-        self.v.grad_mut().axpy(1.0, &g.matmul_tn(&cache.t));
-        // dT = g · V
-        let dt = g.matmul(self.v.value());
-        // dU = colsᵀ · dT
-        self.u.grad_mut().axpy(1.0, &cache.cols.matmul_tn(&dt));
-        // bias
-        let mut db = Matrix::zeros(1, g.cols());
-        for r in 0..g.rows() {
-            for (d, &v) in db.row_mut(0).iter_mut().zip(g.row(r)) {
-                *d += v;
-            }
-        }
-        self.bias.grad_mut().axpy(1.0, &db);
+        let (dt, input_shape) = self.accumulate_param_grads(grad_out);
         // dX via dcols = dT · Uᵀ
         let dcols = dt.matmul_nt(self.u.value());
         let geom = self.geom;
-        col2im(&dcols, cache.input_shape, geom.kh, geom.kw, geom.stride, geom.pad)
+        col2im(&dcols, input_shape, geom.kh, geom.kw, geom.stride, geom.pad)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor4) {
+        self.accumulate_param_grads(grad_out);
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -11,7 +11,7 @@ use rand::Rng;
 
 use scissor_linalg::Matrix;
 
-use super::conv::add_bias_rows;
+use super::conv::{add_bias_rows, sum_rows};
 use crate::init::xavier_uniform;
 use crate::layer::{InferLayer, Layer};
 use crate::param::Param;
@@ -100,6 +100,20 @@ impl Linear {
         let out = Tensor4::from_matrix(&y, self.fan_out(), 1, 1);
         (x, out)
     }
+
+    /// Accumulates the weight and bias gradients of the cached forward;
+    /// returns `grad_out` as a matrix and the forward's input shape, for
+    /// the input gradient.
+    fn accumulate_param_grads(
+        &mut self,
+        grad_out: &Tensor4,
+    ) -> (Matrix, (usize, usize, usize, usize)) {
+        let cache = self.cache.as_ref().expect("backward requires a training-phase forward");
+        let g = grad_out.to_matrix();
+        self.weight.grad_mut().axpy(1.0, &cache.x.matmul_tn(&g));
+        self.bias.grad_mut().axpy(1.0, &sum_rows(&g));
+        (g, cache.input_shape)
+    }
 }
 
 impl InferLayer for Linear {
@@ -132,19 +146,13 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let cache = self.cache.as_ref().expect("backward requires a training-phase forward");
-        let g = grad_out.to_matrix();
-        self.weight.grad_mut().axpy(1.0, &cache.x.matmul_tn(&g));
-        let mut db = Matrix::zeros(1, g.cols());
-        for r in 0..g.rows() {
-            for (d, &v) in db.row_mut(0).iter_mut().zip(g.row(r)) {
-                *d += v;
-            }
-        }
-        self.bias.grad_mut().axpy(1.0, &db);
+        let (g, (_, c, h, w)) = self.accumulate_param_grads(grad_out);
         let dx = g.matmul_nt(self.weight.value());
-        let (_, c, h, w) = cache.input_shape;
         Tensor4::from_matrix(&dx, c, h, w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor4) {
+        self.accumulate_param_grads(grad_out);
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -242,6 +250,22 @@ impl LowRankLinear {
         let out = Tensor4::from_matrix(&y, self.fan_out, 1, 1);
         (x, t, out)
     }
+
+    /// Accumulates the `U`, `V` and bias gradients of the cached forward;
+    /// returns `dT = g·V` and the forward's input shape, for the input
+    /// gradient.
+    fn accumulate_param_grads(
+        &mut self,
+        grad_out: &Tensor4,
+    ) -> (Matrix, (usize, usize, usize, usize)) {
+        let cache = self.cache.as_ref().expect("backward requires a training-phase forward");
+        let g = grad_out.to_matrix();
+        self.v.grad_mut().axpy(1.0, &g.matmul_tn(&cache.t));
+        let dt = g.matmul(self.v.value());
+        self.u.grad_mut().axpy(1.0, &cache.x.matmul_tn(&dt));
+        self.bias.grad_mut().axpy(1.0, &sum_rows(&g));
+        (dt, cache.input_shape)
+    }
 }
 
 impl InferLayer for LowRankLinear {
@@ -274,21 +298,13 @@ impl Layer for LowRankLinear {
     }
 
     fn backward(&mut self, grad_out: &Tensor4) -> Tensor4 {
-        let cache = self.cache.as_ref().expect("backward requires a training-phase forward");
-        let g = grad_out.to_matrix();
-        self.v.grad_mut().axpy(1.0, &g.matmul_tn(&cache.t));
-        let dt = g.matmul(self.v.value());
-        self.u.grad_mut().axpy(1.0, &cache.x.matmul_tn(&dt));
-        let mut db = Matrix::zeros(1, g.cols());
-        for r in 0..g.rows() {
-            for (d, &v) in db.row_mut(0).iter_mut().zip(g.row(r)) {
-                *d += v;
-            }
-        }
-        self.bias.grad_mut().axpy(1.0, &db);
+        let (dt, (_, c, h, w)) = self.accumulate_param_grads(grad_out);
         let dx = dt.matmul_nt(self.u.value());
-        let (_, c, h, w) = cache.input_shape;
         Tensor4::from_matrix(&dx, c, h, w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor4) {
+        self.accumulate_param_grads(grad_out);
     }
 
     fn params(&self) -> Vec<&Param> {

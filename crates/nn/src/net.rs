@@ -142,11 +142,20 @@ impl Network {
 
     /// Backpropagates from the loss gradient; parameter gradients accumulate
     /// inside the layers.
+    ///
+    /// The walk stops at the first layer with parameters, which only
+    /// accumulates its parameter gradients ([`Layer::backward_params`]): no
+    /// input gradient is computed for it, and parameter-free layers in
+    /// front of it are not visited.
     pub fn backward(&mut self, grad: &Tensor4) {
-        let mut g = grad.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+        let Some(first) = self.layers.iter().position(|l| !l.params().is_empty()) else {
+            return;
+        };
+        let mut g: Option<Tensor4> = None;
+        for layer in self.layers[first + 1..].iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad)));
         }
+        self.layers[first].backward_params(g.as_ref().unwrap_or(grad));
     }
 
     /// Zeroes every parameter gradient.
